@@ -12,7 +12,9 @@
 //! * **Tier-1** uses a dynamic work queue of code blocks (an atomic
 //!   cursor), exactly like the paper's SPE/PPE queue.
 //!
-//! One `workers` knob drives both fan-outs. Output is byte-identical to
+//! One `workers` knob drives both fan-outs. At one worker nothing is
+//! spawned: the calling thread runs every stage and drains the Tier-1
+//! queue itself (DESIGN.md §9). Output is byte-identical to
 //! the sequential encoder for every worker count — parallelization must
 //! never change the codestream (asserted by tests and proptests): the
 //! vertical filter is column-local, the horizontal filter row-local, and
@@ -147,75 +149,69 @@ pub fn encode_parallel_ctl(
     slots.resize_with(jobs.len(), || None);
     let slot_ptr = SlotVec(slots.as_mut_ptr());
     let njobs = jobs.len();
-    let parent_trace = trace::current();
-    std::thread::scope(|scope| {
-        for wi in 0..workers {
-            let cursor = &cursor;
-            let jobs = &jobs;
-            let t = &t;
-            let slot_ptr = &slot_ptr;
-            let counts = &tier1_counts;
-            let injected = &injected;
-            scope.spawn(move || {
-                // Scoped threads don't inherit the TLS trace id.
-                trace::set_current(parent_trace);
-                loop {
-                    if ctl.is_some_and(|c| c.is_stopped()) {
-                        break;
-                    }
-                    // Failpoint `tier1.block`: fires once per claimed code
-                    // block. A panic here unwinds through the scope join (the
-                    // service's catch_unwind lever); an error stops this
-                    // worker and fails the whole encode after the barrier.
-                    if let Some(msg) = faultsim::eval("tier1.block") {
-                        *injected.lock().unwrap_or_else(|e| e.into_inner()) = Some(msg);
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= njobs {
-                        break;
-                    }
-                    counts[wi].fetch_add(1, Ordering::Relaxed);
-                    let j = &jobs[i];
-                    let plane = &t.indices[j.comp];
-                    let mut data = Vec::with_capacity(j.bw * j.bh);
-                    for y in j.y0..j.y0 + j.bh {
-                        for x in j.x0..j.x0 + j.bw {
-                            data.push(plane.get(x, y));
-                        }
-                    }
-                    let enc = params.coder.block_coder().encode(
-                        &data,
-                        j.bw,
-                        j.bh,
-                        band_kind(t.bands[j.band_idx].band),
-                        params.bypass,
-                    );
-                    // R-D preparation (truncation rates/distortions + convex
-                    // hull) runs here, on the worker that coded the block —
-                    // the post-pass slice of rate control rides the queue.
-                    let rec = BlockRecord::new(
-                        j.comp,
-                        j.band_idx,
-                        j.bx,
-                        j.by,
-                        enc,
-                        t.weights[j.band_idx],
-                    );
-                    // SAFETY: each index i is claimed by exactly one worker
-                    // (fetch_add), so no two threads write the same slot, and
-                    // the main thread only reads after the scope joins.
-                    unsafe {
-                        *slot_ptr.0.add(i) = Some(rec);
-                    }
-                }
-                // Flush before the closure returns: `thread::scope` only
-                // waits for closures, not TLS destructors, so the Drop
-                // flush could race the caller's trace drain.
-                trace::flush_thread();
-            });
+    // One worker's pull loop; `wi` indexes its job counter.
+    let work = |wi: usize| loop {
+        if ctl.is_some_and(|c| c.is_stopped()) {
+            break;
         }
-    });
+        // Failpoint `tier1.block`: fires once per claimed code block. A
+        // panic here unwinds to the caller (through the scope join when
+        // workers run on spawned threads) — the service's catch_unwind
+        // lever; an error stops this worker and fails the whole encode
+        // after the barrier.
+        if let Some(msg) = faultsim::eval("tier1.block") {
+            *injected.lock().unwrap_or_else(|e| e.into_inner()) = Some(msg);
+            break;
+        }
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= njobs {
+            break;
+        }
+        tier1_counts[wi].fetch_add(1, Ordering::Relaxed);
+        let j = &jobs[i];
+        let plane = &t.indices[j.comp];
+        let mut data = Vec::with_capacity(j.bw * j.bh);
+        for y in j.y0..j.y0 + j.bh {
+            for x in j.x0..j.x0 + j.bw {
+                data.push(plane.get(x, y));
+            }
+        }
+        let enc = params.coder.block_coder().encode(
+            &data,
+            j.bw,
+            j.bh,
+            band_kind(t.bands[j.band_idx].band),
+            params.bypass,
+        );
+        // R-D preparation (truncation rates/distortions + convex hull)
+        // runs here, on the worker that coded the block — the post-pass
+        // slice of rate control rides the queue.
+        let rec = BlockRecord::new(j.comp, j.band_idx, j.bx, j.by, enc, t.weights[j.band_idx]);
+        // SAFETY: each index i is claimed by exactly one worker
+        // (fetch_add), so no two threads write the same slot, and the
+        // main thread only reads after every worker has returned.
+        unsafe { *slot_ptr.base().add(i) = Some(rec) };
+    };
+    if workers == 1 {
+        // One worker runs on the calling thread: no spawn, no join.
+        work(0);
+    } else {
+        let parent_trace = trace::current();
+        std::thread::scope(|scope| {
+            for wi in 0..workers {
+                let work = &work;
+                scope.spawn(move || {
+                    // Scoped threads don't inherit the TLS trace id.
+                    trace::set_current(parent_trace);
+                    work(wi);
+                    // Flush before the closure returns: `thread::scope`
+                    // only waits for closures, not TLS destructors, so the
+                    // Drop flush could race the caller's trace drain.
+                    trace::flush_thread();
+                });
+            }
+        });
+    }
     drop(stage_span);
     stage_times.push(StageTime::new("tier1", t1.elapsed().as_secs_f64()));
     let tier1_counts: Vec<u64> = tier1_counts.into_iter().map(|c| c.into_inner()).collect();
@@ -267,6 +263,14 @@ pub fn transform_coefficients_parallel(
 /// partitioned dynamically but uniquely by the atomic cursor.
 struct SlotVec(*mut Option<BlockRecord>);
 unsafe impl Sync for SlotVec {}
+
+impl SlotVec {
+    /// The base pointer. A method, so closures capture the `Sync`
+    /// wrapper rather than the raw pointer field.
+    fn base(&self) -> *mut Option<BlockRecord> {
+        self.0
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Chunk-parallel sample stages
@@ -394,21 +398,22 @@ fn assign_rows(w: usize, h: usize, comps: usize, workers: usize) -> Assignment {
 impl Assignment {
     /// Run `f` over every job: worker `i` processes its list on its own
     /// thread while the calling thread processes the remainder, then all
-    /// threads join (a stage barrier). Returns per-worker job counts with
-    /// the calling thread last.
+    /// threads join (a stage barrier). With a single worker nothing is
+    /// spawned: the calling thread runs that worker's list, then the
+    /// remainder. Returns per-worker job counts with the calling thread
+    /// last.
     ///
     /// When tracing is enabled every job runs under a span named
     /// `stage` (args: worker / chunk / comp), and spawned threads
     /// inherit the caller's trace id explicitly (TLS doesn't cross
-    /// `thread::scope`). Each closure flushes its local trace buffer
-    /// before returning — the scope barrier waits for closures, not
-    /// TLS destructors, so the Drop flush alone would race the
+    /// `thread::scope`). Each spawned closure flushes its local trace
+    /// buffer before returning — the scope barrier waits for closures,
+    /// not TLS destructors, so the Drop flush alone would race the
     /// caller's trace drain.
     fn run<F>(&self, stage: &'static str, f: F) -> Vec<u64>
     where
         F: Fn(ChunkJob) + Sync,
     {
-        let parent_trace = trace::current();
         let traced = |wi: usize, j: ChunkJob| {
             let _sp = trace::span(stage)
                 .cat("chunk")
@@ -417,22 +422,33 @@ impl Assignment {
                 .arg("comp", j.comp as u64);
             f(j);
         };
-        std::thread::scope(|scope| {
-            for (wi, list) in self.per_worker.iter().enumerate() {
-                let traced = &traced;
-                scope.spawn(move || {
-                    trace::set_current(parent_trace);
-                    for &j in list {
-                        traced(wi, j);
-                    }
-                    trace::flush_thread();
-                });
-            }
-            let calling_wi = self.per_worker.len();
+        let calling_wi = self.per_worker.len();
+        let run_calling = || {
             for &j in &self.calling {
                 traced(calling_wi, j);
             }
-        });
+        };
+        if let [list] = self.per_worker.as_slice() {
+            for &j in list {
+                traced(0, j);
+            }
+            run_calling();
+        } else {
+            let parent_trace = trace::current();
+            std::thread::scope(|scope| {
+                for (wi, list) in self.per_worker.iter().enumerate() {
+                    let traced = &traced;
+                    scope.spawn(move || {
+                        trace::set_current(parent_trace);
+                        for &j in list {
+                            traced(wi, j);
+                        }
+                        trace::flush_thread();
+                    });
+                }
+                run_calling();
+            });
+        }
         let mut counts: Vec<u64> = self.per_worker.iter().map(|l| l.len() as u64).collect();
         counts.push(self.calling.len() as u64);
         counts
@@ -955,17 +971,38 @@ mod tests {
         assert_eq!(par, seq);
     }
 
+    /// Encode with tracing on; return the codestream, the job's events
+    /// and the calling thread's trace tid.
+    fn traced_encode(
+        im: &Image,
+        params: &EncoderParams,
+        workers: usize,
+    ) -> (Vec<u8>, Vec<trace::Event>, u64) {
+        let id = trace::next_trace_id();
+        trace::set_current(id);
+        trace::instant("caller", &[]);
+        let par = encode_parallel(im, params, workers).unwrap();
+        trace::set_current(0);
+        let events = trace::take_job(id);
+        let caller = events
+            .iter()
+            .find(|e| e.name == "caller")
+            .expect("caller instant recorded")
+            .tid;
+        (par, events, caller)
+    }
+
+    // One test for both worker counts: tracing is a process-global
+    // switch, so two traced tests running at once would disable each
+    // other's spans.
     #[test]
     fn traced_encode_is_byte_identical_and_covers_stages() {
         let im = synth::natural_rgb(96, 64, 11);
         let params = EncoderParams::lossy(0.25);
         let seq = crate::encode(&im, &params).unwrap();
         trace::set_enabled(true);
-        let id = trace::next_trace_id();
-        trace::set_current(id);
-        let par = encode_parallel(&im, &params, 3).unwrap();
-        trace::set_current(0);
-        let events = trace::take_job(id);
+        let (par, events, caller) = traced_encode(&im, &params, 3);
+        let (par1, events1, caller1) = traced_encode(&im, &params, 1);
         trace::set_enabled(false);
         assert_eq!(par, seq, "tracing must not perturb the codestream");
         for name in [
@@ -983,7 +1020,8 @@ mod tests {
                 events.iter().map(|e| e.name.clone()).collect::<Vec<_>>()
             );
         }
-        // Chunk spans fan out: more than one distinct worker arg.
+        // Chunk spans fan out: more than one distinct worker arg, and
+        // Tier-1 leaves the calling thread.
         let mut workers: Vec<u64> = events
             .iter()
             .filter(|e| e.name == "mct")
@@ -995,6 +1033,31 @@ mod tests {
             workers.len() >= 2,
             "mct chunk spans on one worker only: {workers:?}"
         );
+        assert!(events.iter().any(|e| e.name == "tier1" && e.tid != caller));
+
+        // One worker: same bytes, and every stage, chunk and Tier-1 span
+        // ran on the calling thread.
+        assert_eq!(par1, seq, "workers=1 must match the sequential encoder");
+        let on_path: Vec<&trace::Event> = events1
+            .iter()
+            .filter(|e| e.cat == "stage" || e.cat == "chunk" || e.name == "tier1")
+            .collect();
+        for name in [
+            "stage:mct",
+            "stage:dwt",
+            "stage:tier1",
+            "mct",
+            "dwt",
+            "tier1",
+        ] {
+            assert!(
+                on_path.iter().any(|e| e.name == name),
+                "missing event {name} at workers=1"
+            );
+        }
+        for e in on_path {
+            assert_eq!(e.tid, caller1, "{} ran off the calling thread", e.name);
+        }
     }
 
     #[test]

@@ -1,12 +1,22 @@
 //! Injection tests for the decoder's `decode.packet` failpoint. Requires
 //! `--features failpoints`; without it the file compiles away, matching
 //! the production build. Own process, so arming the global registry here
-//! cannot leak into the crate's other test binaries.
+//! cannot leak into the crate's other test binaries; within the binary,
+//! every test holds [`registry_lock`] so no test resets or arms the
+//! registry under another.
 
 #![cfg(feature = "failpoints")]
 
 use faultsim::{FaultAction, FaultSpec};
 use j2k_core::{decode, decode_layers, decode_prefix, CodecError, EncoderParams};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes this binary's tests around the process-global failpoint
+/// registry. Poison-tolerant: one failed test must not fail the others.
+fn registry_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn multilayer_stream() -> (imgio::Image, Vec<u8>, usize) {
     let im = imgio::synth::natural(64, 64, 5);
@@ -23,6 +33,7 @@ fn multilayer_stream() -> (imgio::Image, Vec<u8>, usize) {
 /// with the armed message — the walk must not swallow it.
 #[test]
 fn strict_decode_surfaces_injected_packet_fault() {
+    let _g = registry_lock();
     let (im, bytes, _) = multilayer_stream();
     faultsim::reset();
     faultsim::arm(
@@ -44,6 +55,7 @@ fn strict_decode_surfaces_injected_packet_fault() {
 /// image equals an honest layer-limited decode of the same stream.
 #[test]
 fn prefix_decode_degrades_instead_of_failing() {
+    let _g = registry_lock();
     let (_, bytes, layers) = multilayer_stream();
     let (_, total) = decode_prefix(&bytes).unwrap();
     assert_eq!(total, 4);
@@ -72,6 +84,7 @@ fn prefix_decode_degrades_instead_of_failing() {
 /// complete layers: still `Ok`, geometry intact, all-background image.
 #[test]
 fn prefix_decode_survives_first_packet_fault() {
+    let _g = registry_lock();
     let (im, bytes, _) = multilayer_stream();
     faultsim::reset();
     faultsim::arm(

@@ -1,12 +1,22 @@
 //! Injection tests for the HT cleanup decoder's `ht.quad` failpoint.
 //! Requires `--features failpoints`; without it the file compiles away,
 //! matching the production build. Own process, so arming the global
-//! registry here cannot leak into the crate's other test binaries.
+//! registry here cannot leak into the crate's other test binaries; within
+//! the binary, every test holds [`registry_lock`] so no test resets or
+//! arms the registry under another.
 
 #![cfg(feature = "failpoints")]
 
 use faultsim::{FaultAction, FaultSpec};
 use j2k_core::{decode, decode_prefix, CodecError, Coder, EncoderParams};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes this binary's tests around the process-global failpoint
+/// registry. Poison-tolerant: one failed test must not fail the others.
+fn registry_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn ht_stream(layers: usize) -> (imgio::Image, Vec<u8>) {
     let im = imgio::synth::natural(64, 64, 9);
@@ -28,6 +38,7 @@ fn ht_stream(layers: usize) -> (imgio::Image, Vec<u8>) {
 /// still *evaluates* `ht.quad` once per quad, so the hit counter moves.
 #[test]
 fn ht_quad_failpoint_is_on_the_decode_path() {
+    let _g = registry_lock();
     let (im, bytes) = ht_stream(1);
     faultsim::reset();
     let before = faultsim::hits("ht.quad");
@@ -44,6 +55,7 @@ fn ht_quad_failpoint_is_on_the_decode_path() {
 /// the `decode.packet` contract.
 #[test]
 fn strict_decode_surfaces_injected_quad_fault() {
+    let _g = registry_lock();
     let (im, bytes) = ht_stream(1);
     faultsim::reset();
     faultsim::arm(
@@ -65,6 +77,7 @@ fn strict_decode_surfaces_injected_quad_fault() {
 /// geometry, never surface the injected error.
 #[test]
 fn prefix_decode_degrades_instead_of_failing() {
+    let _g = registry_lock();
     let (im, bytes) = ht_stream(4);
     faultsim::reset();
     faultsim::arm(
@@ -85,6 +98,7 @@ fn prefix_decode_degrades_instead_of_failing() {
 /// lenient decode still succeeds even when every retry faults.
 #[test]
 fn prefix_decode_survives_persistent_quad_fault() {
+    let _g = registry_lock();
     let (im, bytes) = ht_stream(4);
     faultsim::reset();
     faultsim::arm(

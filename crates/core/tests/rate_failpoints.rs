@@ -2,18 +2,28 @@
 //! `tier2.precinct`). Requires `--features failpoints`; without it the
 //! file compiles away, matching the production build. This binary is its
 //! own process, so arming the global registry here cannot leak into the
-//! crate's other test binaries.
+//! crate's other test binaries; within the binary, every test holds
+//! [`registry_lock`] so no test resets or arms the registry under another.
 
 #![cfg(feature = "failpoints")]
 
 use faultsim::{FaultAction, FaultSpec};
 use j2k_core::{encode_parallel, CodecError, EncoderParams};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes this binary's tests around the process-global failpoint
+/// registry. Poison-tolerant: one failed test must not fail the others.
+fn registry_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Each failpoint fires once and must surface as `CodecError::Injected`
 /// with the armed message, from both the sequential-tail (workers=1) and
 /// fanned-out paths.
 #[test]
 fn rate_and_tier2_faults_surface_as_errors() {
+    let _g = registry_lock();
     let im = imgio::synth::natural(48, 48, 3);
     let params = EncoderParams::lossy(0.3);
     for fp in ["rate.block", "tier2.precinct"] {
@@ -40,6 +50,7 @@ fn rate_and_tier2_faults_surface_as_errors() {
 /// per-block / per-unit hit counting is wired through the fan-out).
 #[test]
 fn late_hit_faults_still_fire() {
+    let _g = registry_lock();
     let im = imgio::synth::natural_rgb(64, 48, 9);
     let params = EncoderParams {
         levels: 3,

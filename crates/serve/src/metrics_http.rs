@@ -298,6 +298,7 @@ fn respond(
 ) -> std::io::Result<()> {
     stream.set_read_timeout(timeout)?;
     stream.set_write_timeout(timeout)?;
+    stream.set_nodelay(true)?;
     // Drain (and ignore) the request head. Bounded: stop at the blank
     // line or after 8 KiB, whichever comes first.
     let mut buf = [0u8; 1024];
@@ -310,13 +311,13 @@ fn respond(
         }
     }
     let body = render_prometheus(svc);
-    let head = format!(
+    // Head and body in one write (the wire framing rule, DESIGN.md §10).
+    let reply = format!(
         "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(reply.as_bytes())?;
     stream.flush()
 }
 

@@ -18,6 +18,9 @@
 //! with an `Overloaded { retry_after_ms }` reply instead of spawning
 //! handlers. The `wire.stall` failpoint injects the stalled-peer path
 //! deterministically in chaos tests.
+//!
+//! Every accepted socket also sets `TCP_NODELAY` before its first reply,
+//! and every frame leaves in one write (DESIGN.md §10).
 
 use crate::service::{EncodeJob, EncodeService, JobOutcome, SubmitError};
 use crate::wire::{
@@ -75,6 +78,9 @@ pub fn serve(
         // a deadline, so a stalled peer cannot pin the accept loop.
         let _ = stream.set_read_timeout(cfg.io_timeout);
         let _ = stream.set_write_timeout(cfg.io_timeout);
+        // Replies are whole frames written once; Nagle can only delay
+        // them behind the peer's delayed ACK (DESIGN.md §10).
+        let _ = stream.set_nodelay(true);
         if service.pressure_level() == PressureLevel::Critical {
             service.conn_rejected();
             let _ = write_frame(

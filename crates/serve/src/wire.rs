@@ -222,15 +222,21 @@ pub enum RejectReason {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Write one frame (header + payload).
+/// Write one frame (header + payload) in a single `write`.
+///
+/// Header and payload go out as one buffer, never as two writes: on a
+/// TCP socket without `TCP_NODELAY`, Nagle holds the second write until
+/// the peer ACKs the first, and the peer delays that ACK by up to 40 ms
+/// (DESIGN.md §10). The copy costs a memcpy of the payload; a frame
+/// always costs at least one encode or decode, which dwarfs it.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let mut hdr = [0u8; HEADER_LEN];
-    hdr[0..2].copy_from_slice(&MAGIC.to_be_bytes());
-    hdr[2] = VERSION;
-    hdr[3] = 0;
-    hdr[4..8].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    w.write_all(&hdr)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&MAGIC.to_be_bytes());
+    frame.push(VERSION);
+    frame.push(0);
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -811,6 +817,37 @@ mod tests {
         assert_eq!(buf.len(), HEADER_LEN + payload.len());
         let back = read_frame(&mut buf.as_slice(), DEFAULT_MAX_FRAME).unwrap();
         assert_eq!(back, payload);
+    }
+
+    /// Counts `write` calls; accepts every byte it is offered.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write() {
+        for payload in [Vec::new(), encode_request(&sample_request())] {
+            let mut w = RecordingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "payload of {} bytes", payload.len());
+            assert_eq!(w.bytes.len(), HEADER_LEN + payload.len());
+            let back = read_frame(&mut w.bytes.as_slice(), DEFAULT_MAX_FRAME).unwrap();
+            assert_eq!(back, payload);
+        }
     }
 
     #[test]

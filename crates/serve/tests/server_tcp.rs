@@ -228,6 +228,10 @@ fn slow_loris_connection_is_deadlined_and_server_stays_responsive() {
         Ok(n) => panic!("stalled peer unexpectedly got {n} bytes back"),
     }
 
+    // Still responsive once the loris is gone. A fresh connection: the
+    // healthy one has idled about as long as the 100 ms deadline while the
+    // loris was cut loose, so the server may rightly have closed it too.
+    let mut conn = TcpStream::connect(addr).unwrap();
     assert_eq!(
         call(&mut conn, &Request::Shutdown, DEFAULT_MAX_FRAME).unwrap(),
         Response::Pong
@@ -267,6 +271,61 @@ fn connection_cap_refuses_excess_conns_with_overloaded() {
     // The held connection still works, and can shut the server down.
     assert_eq!(
         call(&mut held, &Request::Shutdown, DEFAULT_MAX_FRAME).unwrap(),
+        Response::Pong
+    );
+    server.join().unwrap();
+}
+
+/// Median of a sample set, in milliseconds.
+fn p50_ms(mut samples: Vec<std::time::Duration>) -> f64 {
+    samples.sort_unstable();
+    samples[samples.len() / 2].as_secs_f64() * 1e3
+}
+
+/// Small requests answer at encoder speed even for a client that leaves
+/// Nagle on. Two writes per frame, or a server socket without
+/// `TCP_NODELAY`, hold each reply behind the peer's delayed ACK
+/// (~40 ms per stalled frame on Linux loopback).
+#[test]
+fn small_requests_do_not_wait_on_delayed_ack() {
+    let (addr, server) = start_server(ServiceConfig::default());
+    // Deliberately no set_nodelay: the client keeps Nagle's algorithm.
+    let mut conn = TcpStream::connect(addr).unwrap();
+    let mut ping = Vec::new();
+    for _ in 0..21 {
+        let t0 = std::time::Instant::now();
+        let resp = call(&mut conn, &Request::Ping, DEFAULT_MAX_FRAME).unwrap();
+        ping.push(t0.elapsed());
+        assert_eq!(resp, Response::Pong);
+    }
+    let im = imgio::synth::natural(32, 32, 5);
+    let params = EncoderParams::lossless();
+    let want = j2k_core::encode(&im, &params).unwrap();
+    let req = Request::Encode(EncodeRequest {
+        priority: 0,
+        allow_degraded: false,
+        timeout_ms: 0,
+        params,
+        image: im,
+    });
+    let mut encode = Vec::new();
+    for _ in 0..21 {
+        let t0 = std::time::Instant::now();
+        let resp = call(&mut conn, &req, DEFAULT_MAX_FRAME).unwrap();
+        encode.push(t0.elapsed());
+        match resp {
+            Response::EncodeOk { codestream, .. } => assert_eq!(codestream, want),
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    let (ping_ms, encode_ms) = (p50_ms(ping), p50_ms(encode));
+    assert!(ping_ms < 10.0, "ping p50 {ping_ms:.2} ms");
+    assert!(
+        encode_ms < 10.0,
+        "32x32 lossless encode p50 {encode_ms:.2} ms"
+    );
+    assert_eq!(
+        call(&mut conn, &Request::Shutdown, DEFAULT_MAX_FRAME).unwrap(),
         Response::Pong
     );
     server.join().unwrap();

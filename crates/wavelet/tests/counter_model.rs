@@ -4,7 +4,10 @@
 //!
 //! Lives in its own integration binary because enabling the process-global
 //! kernel counters would race with unrelated tests in a shared process.
+//! Within the binary, every test that touches the counters holds
+//! [`counters_lock`], so no test resets or disables them under another.
 
+use std::sync::{Mutex, MutexGuard};
 use wavelet::rowops::Region;
 use wavelet::vertical::{fwd53_vertical, fwd97_vertical, vert_group_cols};
 use wavelet::{vertical_traffic, Filter, VerticalVariant};
@@ -20,6 +23,13 @@ fn make_plane(w: usize, h: usize) -> AlignedPlane<i32> {
     p
 }
 
+/// Serializes this binary's tests around the process-global counters.
+/// Poison-tolerant: one failed test must not fail the others.
+fn counters_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn snap(kernel: obs::counters::Kernel) -> obs::counters::KernelSnapshot {
     obs::counters::snapshot()
         .into_iter()
@@ -33,6 +43,7 @@ fn snap(kernel: obs::counters::Kernel) -> obs::counters::KernelSnapshot {
 /// GB/s comparable across variants and PR baselines.
 #[test]
 fn counter_bytes_agree_with_traffic_model() {
+    let _g = counters_lock();
     let (w, h) = (100usize, 64usize);
     obs::counters::set_enabled(true);
 
@@ -72,6 +83,7 @@ fn counter_bytes_agree_with_traffic_model() {
 /// payload (not per-group fragments).
 #[test]
 fn blocked_driver_records_single_invocation() {
+    let _g = counters_lock();
     let g = vert_group_cols();
     let (w, h) = (2 * g + 3, 12);
     obs::counters::set_enabled(true);
