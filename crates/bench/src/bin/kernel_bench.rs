@@ -16,19 +16,7 @@
 use j2k_bench::{lossless_params, lossy_params, parse_args, row, workload_rgb, Direction};
 use j2k_core::{encode, Coder, EncoderParams};
 use obs::counters::{self, Kernel};
-use wavelet::dispatch::{self, Backend};
-
-/// Kernels with a SIMD/scalar pair behind the dispatch switch (Tier-1 is
-/// table-driven, not vectorized).
-const DISPATCHED: [Kernel; 7] = [
-    Kernel::MctRct,
-    Kernel::MctIct,
-    Kernel::Dwt53Vertical,
-    Kernel::Dwt53Horizontal,
-    Kernel::Dwt97Vertical,
-    Kernel::Dwt97Horizontal,
-    Kernel::Quantize,
-];
+use wavelet::dispatch;
 
 /// The bench workload: the three encodes together touch all nine kernels.
 fn run_workload(im: &imgio::Image, levels: usize) {
@@ -102,36 +90,6 @@ fn main() {
         );
     }
 
-    // Scalar vs SIMD on the same workload: the dispatched kernels' speedup
-    // ratio, from one forced run of each backend. The differential test
-    // layer proves the outputs byte-identical; this records what the fast
-    // path buys.
-    let scalar_snap = {
-        let _g = dispatch::force_guard(Backend::Scalar);
-        measured_snapshot(&im, args.levels)
-    };
-    let simd_snap = {
-        let _g = dispatch::force_guard(Backend::Simd);
-        measured_snapshot(&im, args.levels)
-    };
-    let mut speedups: Vec<(Kernel, f64)> = Vec::new();
-    println!("\nSIMD speedup vs forced-scalar (same workload):");
-    for kernel in DISPATCHED {
-        let sc = scalar_snap.iter().find(|k| k.kernel == kernel).unwrap();
-        let si = simd_snap.iter().find(|k| k.kernel == kernel).unwrap();
-        if sc.ns > 0 && si.ns > 0 {
-            let ratio = sc.ns as f64 / si.ns as f64;
-            println!(
-                "    {:<18} {:>6.2}x ({:.3} -> {:.3} GB/s)",
-                kernel.name(),
-                ratio,
-                sc.gb_per_sec(),
-                si.gb_per_sec()
-            );
-            speedups.push((kernel, ratio));
-        }
-    }
-
     if let Some(path) = &args.out {
         let mut report = j2k_bench::BenchReport::new("kernels").config(&format!(
             "{{\"size\":{},\"seed\":{},\"levels\":{}}}",
@@ -150,13 +108,6 @@ fn main() {
                     Direction::Higher,
                 );
             }
-        }
-        for (kernel, ratio) in &speedups {
-            report = report.metric(
-                &format!("{}_simd_speedup", kernel.name()),
-                *ratio,
-                Direction::Higher,
-            );
         }
         let detail: Vec<String> = snap
             .iter()

@@ -1,355 +1,105 @@
-//! Row-granular MCT / level-shift / quantization kernels with explicit SSE2
-//! paths, selected through the same [`wavelet::dispatch`] switch as the DWT
-//! row primitives, so `J2K_KERNELS=scalar` forces every hot loop in the
-//! encoder onto the scalar reference at once.
+//! Row-granular MCT / level-shift / quantization kernels.
 //!
-//! # Byte-identity
+//! Like the DWT row primitives in `wavelet::rowops`, these are plain slice
+//! loops that LLVM autovectorizes; they are the only implementation.
+//! Hand-written SSE2 versions measured 0.83–1.02x on the MCT kernels, and
+//! quantize only won while its scalar form could not vectorize (DESIGN.md
+//! section 18).
 //!
-//! Each SIMD path performs the *same arithmetic in the same per-element
-//! order* as its scalar counterpart:
-//!
-//! * RCT: 32-bit adds/subs/shifts — SSE2 integer ops wrap exactly like
-//!   release-mode scalar arithmetic, and `_mm_srai_epi32` is the arithmetic
-//!   `>>` on each lane.
-//! * ICT: `f32` multiply/add chains evaluated left-to-right; Rust never
-//!   contracts `a*b + c` into an FMA, so `_mm_mul_ps`/`_mm_add_ps` in the
-//!   same association produce IEEE-identical results.
-//! * Quantize: the scalar path is `(|v| as f64 / delta) as i64` clamped to
-//!   `[0, i32::MAX]` and re-signed. The SIMD path widens each `f32` to `f64`
-//!   (`_mm_cvtps_pd`, exact), divides in double (`_mm_div_pd`, same IEEE op),
-//!   truncates (`_mm_cvttpd_epi32`), then patches the conversion's
-//!   out-of-range sentinel to match Rust's saturating `as` cast: lanes with
-//!   quotient `>= 2^31` become `i32::MAX`, NaN lanes become 0, negative
-//!   quotients (negative `delta`) clamp to 0, and the sign of the input is
-//!   re-applied as `(q ^ m) - m`. Every case is pinned by differential tests.
-//!
-//! The inverse ICT stays scalar: its `(x + shift).round()` is
-//! round-half-away-from-zero, which has no cheap SSE2 equivalent, and the
+//! The inverse ICT lives in [`crate::mct`]: its `(x + shift).round()` is
+//! round-half-away-from-zero, which does not vectorize cheaply, and the
 //! decode path is not performance-critical.
 
-/// Scalar reference implementations (always compiled; forced via
-/// `wavelet::dispatch`).
-pub mod scalar {
-    /// Forward RCT with level shift, in place on three component rows.
-    pub fn rct_forward_row(r: &mut [i32], g: &mut [i32], b: &mut [i32], shift: i32) {
-        let n = r.len().min(g.len()).min(b.len());
-        for i in 0..n {
-            let rv = r[i] - shift;
-            let gv = g[i] - shift;
-            let bv = b[i] - shift;
-            r[i] = (rv + 2 * gv + bv) >> 2;
-            g[i] = bv - gv;
-            b[i] = rv - gv;
-        }
-    }
-
-    /// Inverse RCT with level unshift, in place (Y/U/V rows become R/G/B).
-    pub fn rct_inverse_row(y: &mut [i32], u: &mut [i32], v: &mut [i32], shift: i32) {
-        let n = y.len().min(u.len()).min(v.len());
-        for i in 0..n {
-            let g = y[i] - ((u[i] + v[i]) >> 2);
-            let r = v[i] + g;
-            let b = u[i] + g;
-            y[i] = r + shift;
-            u[i] = g + shift;
-            v[i] = b + shift;
-        }
-    }
-
-    /// Forward ICT with level shift: integer R/G/B rows in, float Y/Cb/Cr out.
-    #[allow(clippy::too_many_arguments)]
-    pub fn ict_forward_row(
-        r: &[i32],
-        g: &[i32],
-        b: &[i32],
-        yy: &mut [f32],
-        cb: &mut [f32],
-        cr: &mut [f32],
-        shift: f32,
-    ) {
-        let n = r.len().min(g.len()).min(b.len());
-        for i in 0..n {
-            let rv = r[i] as f32 - shift;
-            let gv = g[i] as f32 - shift;
-            let bv = b[i] as f32 - shift;
-            yy[i] = 0.299 * rv + 0.587 * gv + 0.114 * bv;
-            cb[i] = -0.168_736 * rv - 0.331_264 * gv + 0.5 * bv;
-            cr[i] = 0.5 * rv - 0.418_688 * gv - 0.081_312 * bv;
-        }
-    }
-
-    /// Level shift a row in place: `v -= shift`.
-    pub fn level_shift_row(row: &mut [i32], shift: i32) {
-        for v in row.iter_mut() {
-            *v -= shift;
-        }
-    }
-
-    /// Dead-zone quantize a row of `f32` coefficients.
-    pub fn quantize_row(src: &[f32], dst: &mut [i32], delta: f64) {
-        let n = src.len().min(dst.len());
-        for i in 0..n {
-            dst[i] = crate::quant::quantize(src[i], delta);
-        }
-    }
-
-    /// Dead-zone quantize a row of Q13 fixed-point coefficients
-    /// (`value = raw / 2^13`), matching the fixed DWT path.
-    pub fn quantize_q13_row(src: &[i32], dst: &mut [i32], delta: f64) {
-        let n = src.len().min(dst.len());
-        for i in 0..n {
-            dst[i] = crate::quant::quantize(src[i] as f32 / 8192.0, delta);
-        }
+/// Forward RCT with level shift, in place on three component rows.
+pub fn rct_forward_row(r: &mut [i32], g: &mut [i32], b: &mut [i32], shift: i32) {
+    let n = r.len().min(g.len()).min(b.len());
+    for i in 0..n {
+        let rv = r[i] - shift;
+        let gv = g[i] - shift;
+        let bv = b[i] - shift;
+        r[i] = (rv + 2 * gv + bv) >> 2;
+        g[i] = bv - gv;
+        b[i] = rv - gv;
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod sse {
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    pub fn rct_forward_row(r: &mut [i32], g: &mut [i32], b: &mut [i32], shift: i32) {
-        let n = r.len().min(g.len()).min(b.len());
-        let mut i = 0;
-        unsafe {
-            let sh = _mm_set1_epi32(shift);
-            while i + 4 <= n {
-                let rv = _mm_sub_epi32(_mm_loadu_si128(r.as_ptr().add(i) as *const __m128i), sh);
-                let gv = _mm_sub_epi32(_mm_loadu_si128(g.as_ptr().add(i) as *const __m128i), sh);
-                let bv = _mm_sub_epi32(_mm_loadu_si128(b.as_ptr().add(i) as *const __m128i), sh);
-                let yy = _mm_srai_epi32::<2>(_mm_add_epi32(
-                    _mm_add_epi32(rv, _mm_add_epi32(gv, gv)),
-                    bv,
-                ));
-                let u = _mm_sub_epi32(bv, gv);
-                let v = _mm_sub_epi32(rv, gv);
-                _mm_storeu_si128(r.as_mut_ptr().add(i) as *mut __m128i, yy);
-                _mm_storeu_si128(g.as_mut_ptr().add(i) as *mut __m128i, u);
-                _mm_storeu_si128(b.as_mut_ptr().add(i) as *mut __m128i, v);
-                i += 4;
-            }
-        }
-        super::scalar::rct_forward_row(&mut r[i..n], &mut g[i..n], &mut b[i..n], shift);
-    }
-
-    pub fn rct_inverse_row(y: &mut [i32], u: &mut [i32], v: &mut [i32], shift: i32) {
-        let n = y.len().min(u.len()).min(v.len());
-        let mut i = 0;
-        unsafe {
-            let sh = _mm_set1_epi32(shift);
-            while i + 4 <= n {
-                let yv = _mm_loadu_si128(y.as_ptr().add(i) as *const __m128i);
-                let uv = _mm_loadu_si128(u.as_ptr().add(i) as *const __m128i);
-                let vv = _mm_loadu_si128(v.as_ptr().add(i) as *const __m128i);
-                let g = _mm_sub_epi32(yv, _mm_srai_epi32::<2>(_mm_add_epi32(uv, vv)));
-                let r = _mm_add_epi32(vv, g);
-                let b = _mm_add_epi32(uv, g);
-                _mm_storeu_si128(y.as_mut_ptr().add(i) as *mut __m128i, _mm_add_epi32(r, sh));
-                _mm_storeu_si128(u.as_mut_ptr().add(i) as *mut __m128i, _mm_add_epi32(g, sh));
-                _mm_storeu_si128(v.as_mut_ptr().add(i) as *mut __m128i, _mm_add_epi32(b, sh));
-                i += 4;
-            }
-        }
-        super::scalar::rct_inverse_row(&mut y[i..n], &mut u[i..n], &mut v[i..n], shift);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn ict_forward_row(
-        r: &[i32],
-        g: &[i32],
-        b: &[i32],
-        yy: &mut [f32],
-        cb: &mut [f32],
-        cr: &mut [f32],
-        shift: f32,
-    ) {
-        let n = r.len().min(g.len()).min(b.len());
-        let mut i = 0;
-        unsafe {
-            let sh = _mm_set1_ps(shift);
-            while i + 4 <= n {
-                let rv = _mm_sub_ps(
-                    _mm_cvtepi32_ps(_mm_loadu_si128(r.as_ptr().add(i) as *const __m128i)),
-                    sh,
-                );
-                let gv = _mm_sub_ps(
-                    _mm_cvtepi32_ps(_mm_loadu_si128(g.as_ptr().add(i) as *const __m128i)),
-                    sh,
-                );
-                let bv = _mm_sub_ps(
-                    _mm_cvtepi32_ps(_mm_loadu_si128(b.as_ptr().add(i) as *const __m128i)),
-                    sh,
-                );
-                // Same association as the scalar source: (c1*r + c2*g) + c3*b.
-                let yv = _mm_add_ps(
-                    _mm_add_ps(
-                        _mm_mul_ps(_mm_set1_ps(0.299), rv),
-                        _mm_mul_ps(_mm_set1_ps(0.587), gv),
-                    ),
-                    _mm_mul_ps(_mm_set1_ps(0.114), bv),
-                );
-                let cbv = _mm_add_ps(
-                    _mm_sub_ps(
-                        _mm_mul_ps(_mm_set1_ps(-0.168_736), rv),
-                        _mm_mul_ps(_mm_set1_ps(0.331_264), gv),
-                    ),
-                    _mm_mul_ps(_mm_set1_ps(0.5), bv),
-                );
-                let crv = _mm_sub_ps(
-                    _mm_sub_ps(
-                        _mm_mul_ps(_mm_set1_ps(0.5), rv),
-                        _mm_mul_ps(_mm_set1_ps(0.418_688), gv),
-                    ),
-                    _mm_mul_ps(_mm_set1_ps(0.081_312), bv),
-                );
-                _mm_storeu_ps(yy.as_mut_ptr().add(i), yv);
-                _mm_storeu_ps(cb.as_mut_ptr().add(i), cbv);
-                _mm_storeu_ps(cr.as_mut_ptr().add(i), crv);
-                i += 4;
-            }
-        }
-        super::scalar::ict_forward_row(
-            &r[i..n],
-            &g[i..n],
-            &b[i..n],
-            &mut yy[i..n],
-            &mut cb[i..n],
-            &mut cr[i..n],
-            shift,
-        );
-    }
-
-    pub fn level_shift_row(row: &mut [i32], shift: i32) {
-        let n = row.len();
-        let mut i = 0;
-        unsafe {
-            let sh = _mm_set1_epi32(shift);
-            while i + 4 <= n {
-                let v = _mm_loadu_si128(row.as_ptr().add(i) as *const __m128i);
-                _mm_storeu_si128(
-                    row.as_mut_ptr().add(i) as *mut __m128i,
-                    _mm_sub_epi32(v, sh),
-                );
-                i += 4;
-            }
-        }
-        super::scalar::level_shift_row(&mut row[i..], shift);
-    }
-
-    /// Quantize four raw (signed) lanes; see the module docs for the
-    /// exact-semantics derivation of each fix-up mask.
-    #[inline]
-    unsafe fn quantize4(v: __m128, delta: __m128d) -> __m128i {
-        let absmask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFF_FFFF));
-        let a = _mm_and_ps(v, absmask);
-        let qlo = _mm_div_pd(_mm_cvtps_pd(a), delta);
-        let qhi = _mm_div_pd(_mm_cvtps_pd(_mm_movehl_ps(a, a)), delta);
-        let r = _mm_unpacklo_epi64(_mm_cvttpd_epi32(qlo), _mm_cvttpd_epi32(qhi));
-        // Saturate quotients >= 2^31 to i32::MAX (Rust's `as` cast saturates;
-        // _mm_cvttpd_epi32 yields the 0x80000000 sentinel instead).
-        let big = _mm_set1_pd(2147483648.0);
-        let hi = _mm_castps_si128(_mm_shuffle_ps::<0b10_00_10_00>(
-            _mm_castpd_ps(_mm_cmpge_pd(qlo, big)),
-            _mm_castpd_ps(_mm_cmpge_pd(qhi, big)),
-        ));
-        let maxv = _mm_set1_epi32(i32::MAX);
-        let r = _mm_or_si128(_mm_and_si128(hi, maxv), _mm_andnot_si128(hi, r));
-        // NaN quotients (NaN input or NaN delta) quantize to 0.
-        let nan = _mm_castps_si128(_mm_shuffle_ps::<0b10_00_10_00>(
-            _mm_castpd_ps(_mm_cmpunord_pd(qlo, qlo)),
-            _mm_castpd_ps(_mm_cmpunord_pd(qhi, qhi)),
-        ));
-        let r = _mm_andnot_si128(nan, r);
-        // Negative quotients (negative delta) clamp to 0, like `.clamp(0, ..)`.
-        let r = _mm_andnot_si128(_mm_cmpgt_epi32(_mm_setzero_si128(), r), r);
-        // Re-apply the sign of v: (r ^ m) - m with m = all-ones where v < 0.
-        let m = _mm_castps_si128(_mm_cmplt_ps(v, _mm_setzero_ps()));
-        _mm_sub_epi32(_mm_xor_si128(r, m), m)
-    }
-
-    pub fn quantize_row(src: &[f32], dst: &mut [i32], delta: f64) {
-        let n = src.len().min(dst.len());
-        let mut i = 0;
-        unsafe {
-            let d = _mm_set1_pd(delta);
-            while i + 4 <= n {
-                let v = _mm_loadu_ps(src.as_ptr().add(i));
-                _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, quantize4(v, d));
-                i += 4;
-            }
-        }
-        super::scalar::quantize_row(&src[i..n], &mut dst[i..n], delta);
-    }
-
-    pub fn quantize_q13_row(src: &[i32], dst: &mut [i32], delta: f64) {
-        let n = src.len().min(dst.len());
-        let mut i = 0;
-        unsafe {
-            let d = _mm_set1_pd(delta);
-            // `as f32` is round-to-nearest-even, exactly _mm_cvtepi32_ps;
-            // division by 8192.0 (a power of two) is the same IEEE op divps.
-            let inv = _mm_set1_ps(8192.0);
-            while i + 4 <= n {
-                let s = _mm_loadu_si128(src.as_ptr().add(i) as *const __m128i);
-                let v = _mm_div_ps(_mm_cvtepi32_ps(s), inv);
-                _mm_storeu_si128(dst.as_mut_ptr().add(i) as *mut __m128i, quantize4(v, d));
-                i += 4;
-            }
-        }
-        super::scalar::quantize_q13_row(&src[i..n], &mut dst[i..n], delta);
+/// Inverse RCT with level unshift, in place (Y/U/V rows become R/G/B).
+pub fn rct_inverse_row(y: &mut [i32], u: &mut [i32], v: &mut [i32], shift: i32) {
+    let n = y.len().min(u.len()).min(v.len());
+    for i in 0..n {
+        let g = y[i] - ((u[i] + v[i]) >> 2);
+        let r = v[i] + g;
+        let b = u[i] + g;
+        y[i] = r + shift;
+        u[i] = g + shift;
+        v[i] = b + shift;
     }
 }
 
-macro_rules! dispatched {
-    ($(#[$doc:meta])* $name:ident ( $($arg:ident : $ty:ty),* $(,)? )) => {
-        $(#[$doc])*
-        #[inline]
-        pub fn $name($($arg: $ty),*) {
-            #[cfg(target_arch = "x86_64")]
-            if wavelet::dispatch::active() == wavelet::dispatch::Backend::Simd {
-                return sse::$name($($arg),*);
-            }
-            scalar::$name($($arg),*)
-        }
-    };
+/// Forward ICT with level shift: integer R/G/B rows in, float Y/Cb/Cr out.
+#[allow(clippy::too_many_arguments)]
+pub fn ict_forward_row(
+    r: &[i32],
+    g: &[i32],
+    b: &[i32],
+    yy: &mut [f32],
+    cb: &mut [f32],
+    cr: &mut [f32],
+    shift: f32,
+) {
+    let n = r.len().min(g.len()).min(b.len());
+    for i in 0..n {
+        let rv = r[i] as f32 - shift;
+        let gv = g[i] as f32 - shift;
+        let bv = b[i] as f32 - shift;
+        yy[i] = 0.299 * rv + 0.587 * gv + 0.114 * bv;
+        cb[i] = -0.168_736 * rv - 0.331_264 * gv + 0.5 * bv;
+        cr[i] = 0.5 * rv - 0.418_688 * gv - 0.081_312 * bv;
+    }
 }
 
-dispatched! {
-    /// Forward RCT with level shift, in place on three component rows.
-    rct_forward_row(r: &mut [i32], g: &mut [i32], b: &mut [i32], shift: i32)
-}
-dispatched! {
-    /// Inverse RCT with level unshift, in place (Y/U/V rows become R/G/B).
-    rct_inverse_row(y: &mut [i32], u: &mut [i32], v: &mut [i32], shift: i32)
-}
-dispatched! {
-    /// Forward ICT with level shift: integer R/G/B rows in, float Y/Cb/Cr out.
-    ict_forward_row(
-        r: &[i32],
-        g: &[i32],
-        b: &[i32],
-        yy: &mut [f32],
-        cb: &mut [f32],
-        cr: &mut [f32],
-        shift: f32,
-    )
-}
-dispatched! {
-    /// Level shift a row in place: `v -= shift`.
-    level_shift_row(row: &mut [i32], shift: i32)
-}
-dispatched! {
-    /// Dead-zone quantize a row of `f32` coefficients into `i32` indices.
-    quantize_row(src: &[f32], dst: &mut [i32], delta: f64)
-}
-dispatched! {
-    /// Dead-zone quantize a row of Q13 fixed-point coefficients.
-    quantize_q13_row(src: &[i32], dst: &mut [i32], delta: f64)
+/// Level shift a row in place: `v -= shift`.
+pub fn level_shift_row(row: &mut [i32], shift: i32) {
+    for v in row.iter_mut() {
+        *v -= shift;
+    }
 }
 
-#[cfg(all(test, target_arch = "x86_64"))]
+/// Dead-zone quantize a row of `f32` coefficients into `i32` indices.
+///
+/// Bit-identical to [`crate::quant::quantize`] per sample, written without
+/// the `i64` round trip so LLVM vectorizes the `f64` divide: `max`
+/// returns `0.0` for a NaN quotient and clamps a negative one (negative
+/// `delta`), `min` saturates quotients at or above `2^31 - 1`, and the
+/// final `as i32` truncates toward zero like the reference `as i64`.
+pub fn quantize_row(src: &[f32], dst: &mut [i32], delta: f64) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = quantize_one(v, delta);
+    }
+}
+
+/// Dead-zone quantize a row of Q13 fixed-point coefficients
+/// (`value = raw / 2^13`), matching the fixed DWT path.
+pub fn quantize_q13_row(src: &[i32], dst: &mut [i32], delta: f64) {
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = quantize_one(v as f32 / 8192.0, delta);
+    }
+}
+
+#[inline]
+fn quantize_one(v: f32, delta: f64) -> i32 {
+    let q = (v.abs() as f64 / delta).max(0.0).min(i32::MAX as f64) as i32;
+    if v < 0.0 {
+        -q
+    } else {
+        q
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::quantize;
 
     fn pcg(seed: &mut u64) -> u32 {
         *seed = seed
@@ -359,52 +109,47 @@ mod tests {
     }
 
     #[test]
-    fn rct_rows_match_scalar() {
+    fn rct_forward_then_inverse_is_identity() {
         let mut s = 7u64;
         for n in 0..=19usize {
             let r0: Vec<i32> = (0..n).map(|_| pcg(&mut s) as i32 % 4096).collect();
             let g0: Vec<i32> = (0..n).map(|_| pcg(&mut s) as i32 % 4096).collect();
             let b0: Vec<i32> = (0..n).map(|_| pcg(&mut s) as i32 % 4096).collect();
-            let (mut r1, mut g1, mut b1) = (r0.clone(), g0.clone(), b0.clone());
-            let (mut r2, mut g2, mut b2) = (r0.clone(), g0.clone(), b0.clone());
-            scalar::rct_forward_row(&mut r1, &mut g1, &mut b1, 128);
-            sse::rct_forward_row(&mut r2, &mut g2, &mut b2, 128);
-            assert_eq!((&r1, &g1, &b1), (&r2, &g2, &b2), "fwd n={n}");
-            scalar::rct_inverse_row(&mut r1, &mut g1, &mut b1, 128);
-            sse::rct_inverse_row(&mut r2, &mut g2, &mut b2, 128);
-            assert_eq!((r1, g1, b1), (r2, g2, b2), "inv n={n}");
+            let (mut r, mut g, mut b) = (r0.clone(), g0.clone(), b0.clone());
+            rct_forward_row(&mut r, &mut g, &mut b, 128);
+            rct_inverse_row(&mut r, &mut g, &mut b, 128);
+            assert_eq!((r, g, b), (r0, g0, b0), "n={n}");
         }
     }
 
     #[test]
-    fn ict_row_bit_identical_to_scalar() {
+    fn ict_row_matches_per_sample_expression() {
         let mut s = 9u64;
         for n in 0..=19usize {
             let r: Vec<i32> = (0..n).map(|_| pcg(&mut s) as i32 % 65536).collect();
             let g: Vec<i32> = (0..n).map(|_| pcg(&mut s) as i32 % 65536).collect();
             let b: Vec<i32> = (0..n).map(|_| pcg(&mut s) as i32 % 65536).collect();
-            let mut out1 = vec![vec![0f32; n]; 3];
-            let mut out2 = vec![vec![0f32; n]; 3];
-            {
-                let (y, rest) = out1.split_at_mut(1);
-                let (cb, cr) = rest.split_at_mut(1);
-                scalar::ict_forward_row(&r, &g, &b, &mut y[0], &mut cb[0], &mut cr[0], 128.0);
-            }
-            {
-                let (y, rest) = out2.split_at_mut(1);
-                let (cb, cr) = rest.split_at_mut(1);
-                sse::ict_forward_row(&r, &g, &b, &mut y[0], &mut cb[0], &mut cr[0], 128.0);
-            }
-            for c in 0..3 {
-                let a: Vec<u32> = out1[c].iter().map(|v| v.to_bits()).collect();
-                let bb: Vec<u32> = out2[c].iter().map(|v| v.to_bits()).collect();
-                assert_eq!(a, bb, "component {c} n={n}");
+            let (mut y, mut cb, mut cr) = (vec![0f32; n], vec![0f32; n], vec![0f32; n]);
+            ict_forward_row(&r, &g, &b, &mut y, &mut cb, &mut cr, 128.0);
+            for i in 0..n {
+                let (rv, gv, bv) = (
+                    r[i] as f32 - 128.0,
+                    g[i] as f32 - 128.0,
+                    b[i] as f32 - 128.0,
+                );
+                let want = [
+                    0.299 * rv + 0.587 * gv + 0.114 * bv,
+                    -0.168_736 * rv - 0.331_264 * gv + 0.5 * bv,
+                    0.5 * rv - 0.418_688 * gv - 0.081_312 * bv,
+                ];
+                let got = [y[i], cb[i], cr[i]];
+                assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits), "n={n} i={i}");
             }
         }
     }
 
     #[test]
-    fn quantize_row_matches_scalar_including_edges() {
+    fn quantize_row_matches_reference_including_edges() {
         let special = [
             0.0f32,
             -0.0,
@@ -417,59 +162,42 @@ mod tests {
             -1e30,
             0.4999,
             -0.4999,
+            2_147_483_520.0, // largest f32 below 2^31
+            2_147_483_648.0,
+            -2_147_483_648.0,
         ];
-        for delta in [0.5f64, 1.0, 1e-30, 0.0, -0.5, f64::NAN] {
+        let deltas = [0.5f64, 1.0, 1e-30, 0.0, -0.0, -0.5, f64::NAN, f64::INFINITY];
+        for delta in deltas {
             let mut src: Vec<f32> = special.to_vec();
             let mut s = 11u64;
             for _ in 0..37 {
                 src.push((pcg(&mut s) as i32 % 100000) as f32 * 0.037);
             }
-            let mut d1 = vec![0i32; src.len()];
-            let mut d2 = vec![0i32; src.len()];
-            scalar::quantize_row(&src, &mut d1, delta);
-            sse::quantize_row(&src, &mut d2, delta);
-            assert_eq!(d1, d2, "delta={delta}");
+            for _ in 0..64 {
+                src.push(f32::from_bits(pcg(&mut s)));
+            }
+            let mut got = vec![0i32; src.len()];
+            quantize_row(&src, &mut got, delta);
+            let want: Vec<i32> = src.iter().map(|&v| quantize(v, delta)).collect();
+            assert_eq!(got, want, "delta={delta}");
         }
     }
 
     #[test]
-    fn quantize_q13_row_matches_scalar() {
+    fn quantize_q13_row_matches_reference() {
         let mut s = 13u64;
         let src: Vec<i32> = (0..41)
             .map(|_| pcg(&mut s) as i32)
             .chain([i32::MAX, i32::MIN, 0, -1, 1])
             .collect();
         for delta in [0.25f64, 3.7, 1e-9] {
-            let mut d1 = vec![0i32; src.len()];
-            let mut d2 = vec![0i32; src.len()];
-            scalar::quantize_q13_row(&src, &mut d1, delta);
-            sse::quantize_q13_row(&src, &mut d2, delta);
-            assert_eq!(d1, d2, "delta={delta}");
+            let mut got = vec![0i32; src.len()];
+            quantize_q13_row(&src, &mut got, delta);
+            let want: Vec<i32> = src
+                .iter()
+                .map(|&v| quantize(v as f32 / 8192.0, delta))
+                .collect();
+            assert_eq!(got, want, "delta={delta}");
         }
-    }
-
-    #[test]
-    fn level_shift_row_matches_scalar() {
-        let mut a: Vec<i32> = (0..23).collect();
-        let mut b = a.clone();
-        scalar::level_shift_row(&mut a, 128);
-        sse::level_shift_row(&mut b, 128);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn dispatch_forced_scalar_agrees_with_simd() {
-        let src: Vec<f32> = (0..33).map(|i| i as f32 * 1.7 - 20.0).collect();
-        let mut with_simd = vec![0i32; src.len()];
-        let mut with_scalar = vec![0i32; src.len()];
-        {
-            let _g = wavelet::dispatch::force_guard(wavelet::dispatch::Backend::Simd);
-            quantize_row(&src, &mut with_simd, 0.75);
-        }
-        {
-            let _g = wavelet::dispatch::force_guard(wavelet::dispatch::Backend::Scalar);
-            quantize_row(&src, &mut with_scalar, 0.75);
-        }
-        assert_eq!(with_simd, with_scalar);
     }
 }

@@ -22,6 +22,7 @@
 //! partition performs the same arithmetic on the same operands.
 
 use crate::control::EncodeControl;
+use crate::kernels::{ict_forward_row, level_shift_row, rct_forward_row};
 use crate::pipeline::{
     band_kind, block_grid, build_profile, default_base_step, rate_control_and_assemble,
     BlockRecord, Transformed,
@@ -455,27 +456,6 @@ impl Assignment {
     }
 }
 
-/// Forward RCT + level shift over three parallel row segments (identical
-/// arithmetic to [`crate::mct::forward_rct_shift`]).
-fn rct_shift_rows(py: &mut [i32], pu: &mut [i32], pv: &mut [i32], shift: i32) {
-    crate::kernels::rct_forward_row(py, pu, pv, shift);
-}
-
-/// Forward ICT + level shift over row segments (identical arithmetic to
-/// [`crate::mct::forward_ict_shift`]).
-#[allow(clippy::too_many_arguments)]
-fn ict_shift_rows(
-    r: &[i32],
-    g: &[i32],
-    b: &[i32],
-    yy: &mut [f32],
-    cb: &mut [f32],
-    cr: &mut [f32],
-    shift: f32,
-) {
-    crate::kernels::ict_forward_row(r, g, b, yy, cb, cr, shift);
-}
-
 /// Chunk-parallel version of [`crate::pipeline::transform_samples`]:
 /// byte-identical output by construction (same arithmetic on the same
 /// operands, only partitioned), plus stage measurements.
@@ -559,14 +539,12 @@ pub(crate) fn transform_samples_parallel_ctl(
                         let mut ru = shared[1].rows(j.region);
                         let mut rv = shared[2].rows(j.region);
                         for y in 0..j.region.h {
-                            rct_shift_rows(ry.row_mut(y), ru.row_mut(y), rv.row_mut(y), shift);
+                            rct_forward_row(ry.row_mut(y), ru.row_mut(y), rv.row_mut(y), shift);
                         }
                     } else {
                         let mut rows = shared[j.comp].rows(j.region);
                         for y in 0..j.region.h {
-                            for v in rows.row_mut(y) {
-                                *v -= shift;
-                            }
+                            level_shift_row(rows.row_mut(y), shift);
                         }
                     }
                 });
@@ -684,7 +662,7 @@ pub(crate) fn transform_samples_parallel_ctl(
                             let r = &src[0].row(y)[x0..x0 + cw];
                             let g = &src[1].row(y)[x0..x0 + cw];
                             let b = &src[2].row(y)[x0..x0 + cw];
-                            ict_shift_rows(r, g, b, &mut ybuf, &mut cbuf, &mut rbuf, shift as f32);
+                            ict_forward_row(r, g, b, &mut ybuf, &mut cbuf, &mut rbuf, shift as f32);
                             for (c, buf) in [&ybuf, &cbuf, &rbuf].into_iter().enumerate() {
                                 if fixed {
                                     let mut rows = out_q[c].rows(j.region);

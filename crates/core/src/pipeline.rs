@@ -159,37 +159,26 @@ pub(crate) fn transform_samples(
         }
         Mode::Lossy { .. } => {
             let base = default_base_step(depth);
+            let mut fp: Vec<AlignedPlane<f32>> = if use_mct {
+                mct::forward_ict_shift(&int_planes, shift as f32)
+            } else {
+                int_planes
+                    .iter_mut()
+                    .map(|p| {
+                        mct::level_shift(p, shift);
+                        p.to_f32()
+                    })
+                    .collect()
+            };
             // Sample transform in the selected arithmetic.
             let coeff_value: Vec<AlignedPlane<f32>> = match params.arithmetic {
                 Arithmetic::Float32 => {
-                    let mut fp: Vec<AlignedPlane<f32>> = if use_mct {
-                        mct::forward_ict_shift(&int_planes, shift as f32)
-                    } else {
-                        int_planes
-                            .iter_mut()
-                            .map(|p| {
-                                mct::level_shift(p, shift);
-                                p.to_f32()
-                            })
-                            .collect()
-                    };
                     for p in &mut fp {
                         wavelet::forward_2d_97(p, params.levels, params.variant);
                     }
                     fp
                 }
                 Arithmetic::FixedQ13 => {
-                    let fp: Vec<AlignedPlane<f32>> = if use_mct {
-                        mct::forward_ict_shift(&int_planes, shift as f32)
-                    } else {
-                        int_planes
-                            .iter_mut()
-                            .map(|p| {
-                                mct::level_shift(p, shift);
-                                p.to_f32()
-                            })
-                            .collect()
-                    };
                     let mut q13: Vec<AlignedPlane<i32>> = fp
                         .iter()
                         .map(|p| p.map(|v| (v * 8192.0).round() as i32))

@@ -1,213 +1,9 @@
-//! Runtime kernel dispatch: the single switch between the scalar reference
-//! kernels and the explicit-SIMD variants.
+//! Name of the kernel family this build runs, for bench host notes.
 //!
-//! Every vectorized kernel in the workspace (wavelet row primitives, the
-//! deinterleave/interleave shuffles, and the MCT/quantize row kernels in
-//! `j2k-core`) consults [`active`] and falls back to the always-compiled
-//! scalar path when it returns [`Backend::Scalar`]. Both backends produce
-//! byte-identical output — the differential test layer asserts it — so the
-//! selection is purely a performance choice.
-//!
-//! Selection order:
-//! 1. a programmatic force ([`force`] / [`force_guard`], used by the
-//!    differential tests and by `kernel_bench` to measure both backends),
-//! 2. the `J2K_KERNELS` environment variable (`scalar` or `simd`),
-//! 3. the default: SIMD wherever the target supports it, scalar otherwise.
+//! There is one family: the portable slice loops in [`crate::rowops`] and
+//! `j2k_core::kernels`, which LLVM autovectorizes for the target.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Which kernel implementation family to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// Portable scalar reference loops (always available).
-    Scalar,
-    /// Explicit-width SIMD (`core::arch` intrinsics on x86_64).
-    Simd,
-}
-
-impl Backend {
-    /// Stable lowercase name (matches the `J2K_KERNELS` values).
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Scalar => "scalar",
-            Backend::Simd => "simd",
-        }
-    }
-}
-
-const FORCE_NONE: u8 = 0;
-const FORCE_SCALAR: u8 = 1;
-const FORCE_SIMD: u8 = 2;
-
-static FORCED: AtomicU8 = AtomicU8::new(FORCE_NONE);
-static ENV_CHOICE: OnceLock<Backend> = OnceLock::new();
-
-/// Whether this build carries explicit SIMD kernels for the target.
-///
-/// On `x86_64` the SSE2 baseline is always present, so this is `true`
-/// unconditionally; the few kernels that additionally want SSE4.1
-/// (`_mm_mul_epi32` for the Q13 64-bit multiply) detect that feature at
-/// runtime and fall back to scalar on their own. Other targets run the
-/// autovectorization-friendly scalar loops (the row primitives are written
-/// as straight-line slice arithmetic precisely so LLVM can vectorize them
-/// on NEON and friends without `unsafe`).
-#[inline]
-pub fn simd_available() -> bool {
-    cfg!(target_arch = "x86_64")
-}
-
-/// Whether the SSE4.1 subset used by the Q13 kernels is available.
-#[inline]
-pub fn simd_q13_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static SSE41: OnceLock<bool> = OnceLock::new();
-        *SSE41.get_or_init(|| std::arch::is_x86_feature_detected!("sse4.1"))
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-fn env_choice() -> Backend {
-    *ENV_CHOICE.get_or_init(|| match std::env::var("J2K_KERNELS").as_deref() {
-        Ok("scalar") => Backend::Scalar,
-        Ok("simd") => {
-            if simd_available() {
-                Backend::Simd
-            } else {
-                Backend::Scalar
-            }
-        }
-        Ok(other) => {
-            eprintln!("J2K_KERNELS={other:?} not recognised (want scalar|simd); using default");
-            default_backend()
-        }
-        Err(_) => default_backend(),
-    })
-}
-
-fn default_backend() -> Backend {
-    if simd_available() {
-        Backend::Simd
-    } else {
-        Backend::Scalar
-    }
-}
-
-/// The backend every dispatching kernel should run right now.
-#[inline]
-pub fn active() -> Backend {
-    match FORCED.load(Ordering::Relaxed) {
-        FORCE_SCALAR => Backend::Scalar,
-        FORCE_SIMD => {
-            if simd_available() {
-                Backend::Simd
-            } else {
-                Backend::Scalar
-            }
-        }
-        _ => env_choice(),
-    }
-}
-
-/// Force a backend process-wide (`None` restores env/default selection).
-///
-/// Prefer [`force_guard`] in tests; this raw setter exists for binaries
-/// (e.g. `kernel_bench`) that switch backends between whole runs.
-pub fn force(backend: Option<Backend>) {
-    let v = match backend {
-        None => FORCE_NONE,
-        Some(Backend::Scalar) => FORCE_SCALAR,
-        Some(Backend::Simd) => FORCE_SIMD,
-    };
-    FORCED.store(v, Ordering::Relaxed);
-}
-
-/// RAII force: holds a process-wide lock so concurrent tests that force
-/// different backends serialize instead of interleaving, and restores the
-/// previous force state on drop.
-pub struct ForceGuard {
-    prev: u8,
-    _lock: MutexGuard<'static, ()>,
-}
-
-static FORCE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Force `backend` for the lifetime of the returned guard.
-pub fn force_guard(backend: Backend) -> ForceGuard {
-    let lock = FORCE_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let prev = FORCED.load(Ordering::Relaxed);
-    force(Some(backend));
-    ForceGuard { prev, _lock: lock }
-}
-
-impl Drop for ForceGuard {
-    fn drop(&mut self) {
-        FORCED.store(self.prev, Ordering::Relaxed);
-    }
-}
-
-/// Human-readable description of the active selection (for bench notes).
+/// The kernel family every bench report records alongside its host.
 pub fn description() -> String {
-    let b = active();
-    let forced = FORCED.load(Ordering::Relaxed) != FORCE_NONE;
-    let q13 = if b == Backend::Simd && simd_q13_available() {
-        "+sse4.1-q13"
-    } else {
-        ""
-    };
-    format!(
-        "{}{}{}",
-        b.name(),
-        q13,
-        if forced { " (forced)" } else { "" }
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn force_guard_restores_previous_state() {
-        let before = active();
-        {
-            let _g = force_guard(Backend::Scalar);
-            assert_eq!(active(), Backend::Scalar);
-        }
-        assert_eq!(active(), before);
-    }
-
-    #[test]
-    fn nested_force_restores_outer_force() {
-        let _g = force_guard(Backend::Scalar);
-        {
-            // Re-entrant use from one thread would deadlock on the mutex, so
-            // exercise the raw setter for the nested level instead.
-            force(Some(Backend::Simd));
-            if simd_available() {
-                assert_eq!(active(), Backend::Simd);
-            }
-            force(Some(Backend::Scalar));
-        }
-        assert_eq!(active(), Backend::Scalar);
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(Backend::Scalar.name(), "scalar");
-        assert_eq!(Backend::Simd.name(), "simd");
-        assert!(!description().is_empty());
-    }
-
-    #[test]
-    fn x86_64_always_has_simd() {
-        #[cfg(target_arch = "x86_64")]
-        assert!(simd_available());
-    }
+    "scalar".to_string()
 }

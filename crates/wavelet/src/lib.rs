@@ -32,7 +32,6 @@ pub mod horizontal;
 pub mod line;
 pub mod norms;
 pub mod rowops;
-pub mod simd;
 pub mod transform2d;
 pub mod vertical;
 

@@ -11,7 +11,7 @@
 //! ## Loop structure
 //!
 //! The transforms deinterleave *first* and then run every lifting step as a
-//! contiguous slice operation over the half-bands (through the dispatching
+//! contiguous slice operation over the half-bands (through the
 //! [`crate::rowops`] kernels), instead of striding by 2 over the interleaved
 //! signal. The arithmetic is unchanged: for the predict-phase steps the
 //! interleaved stencil `x[2i+1] ⊕= f(x[2i], x[mirror(2i+2)])` is exactly
@@ -322,7 +322,7 @@ mod tests {
             let nl = low_len(n);
             let mut want = vec![0; n];
             let (lo, hi) = want.split_at_mut(nl);
-            rowops::scalar::deinterleave_i32(&r, lo, hi);
+            rowops::deinterleave_i32(&r, lo, hi);
 
             let mut got = orig.clone();
             let mut s = Vec::new();

@@ -25,10 +25,10 @@ use crate::rowops::{self, Region, Rows};
 use crate::{high_len, low_len};
 use xpart::AlignedPlane;
 
-/// Default column-group width (elements) for cache-blocked vertical passes.
+/// Column-group width (elements) for cache-blocked vertical passes.
 ///
 /// The paper sizes its column group for the Cell's 128-byte PPE cache lines /
-/// DMA granularity; on this x86-64 host the cache line is 64 bytes (16 i32 or
+/// DMA granularity; on x86-64 hosts the cache line is 64 bytes (16 i32 or
 /// f32 elements), so the group only needs to be a multiple of 16 to avoid
 /// split lines. The fused 9/7 pipeline keeps an 11-row sliding window, so a
 /// group of 256 four-byte elements bounds the window at 11 KiB — comfortably
@@ -40,20 +40,18 @@ use xpart::AlignedPlane;
 /// section 18.
 pub const VERT_GROUP_DEFAULT: usize = 256;
 
-/// Column-group width for cache-blocked vertical filtering, overridable via
-/// the `J2K_VERT_GROUP` environment variable (read once per process).
-pub fn vert_group_cols() -> usize {
-    static CHOICE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CHOICE.get_or_init(|| {
-        if let Ok(v) = std::env::var("J2K_VERT_GROUP") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        VERT_GROUP_DEFAULT
-    })
+/// Run `f` over `rows` one column group of [`VERT_GROUP_DEFAULT`] columns
+/// at a time. Columns are independent, so filtering each group in full
+/// before moving right is bit-identical to one full-width pass but keeps
+/// the fused pipeline's sliding window resident in L1.
+fn for_each_group<T: Copy + Default>(rows: &mut Rows<'_, T>, mut f: impl FnMut(&mut Rows<'_, T>)) {
+    let w = rows.width();
+    let mut x0 = 0;
+    while x0 < w {
+        let g = VERT_GROUP_DEFAULT.min(w - x0);
+        f(&mut rows.subcols(x0, g));
+        x0 += g;
+    }
 }
 
 /// Loop schedule of the vertical filter.
@@ -287,17 +285,7 @@ pub fn fwd53_rows(mut rows: Rows<'_, i32>, variant: VerticalVariant) {
         samples,
         samples * std::mem::size_of::<i32>() as u64,
     );
-    // Cache-blocked column groups: columns are independent, so filtering each
-    // group in full before moving right is bit-identical to one full-width
-    // pass but keeps the fused pipeline's sliding window resident in L1.
-    let gw = vert_group_cols();
-    let mut x0 = 0;
-    while x0 < w {
-        let g = gw.min(w - x0);
-        let mut sub = rows.subcols(x0, g);
-        fwd53_group(&mut sub, variant, h);
-        x0 += g;
-    }
+    for_each_group(rows, |sub| fwd53_group(sub, variant, h));
 }
 
 fn fwd53_group(rows: &mut Rows<'_, i32>, variant: VerticalVariant, h: usize) {
@@ -328,15 +316,7 @@ pub fn inv53_vertical(plane: &mut AlignedPlane<i32>, region: Region) {
     if h < 2 {
         return;
     }
-    let w = rows.width();
-    let gw = vert_group_cols();
-    let mut x0 = 0;
-    while x0 < w {
-        let g = gw.min(w - x0);
-        let mut sub = rows.subcols(x0, g);
-        inv53_group(&mut sub, h);
-        x0 += g;
-    }
+    for_each_group(&mut rows, |sub| inv53_group(sub, h));
 }
 
 fn inv53_group(rows: &mut Rows<'_, i32>, h: usize) {
@@ -569,15 +549,7 @@ pub fn fwd97_rows<T: Arith97>(mut rows: Rows<'_, T>, variant: VerticalVariant) {
         samples,
         samples * std::mem::size_of::<T>() as u64,
     );
-    // Cache-blocked column groups; see `fwd53_rows`.
-    let gw = vert_group_cols();
-    let mut x0 = 0;
-    while x0 < w {
-        let g = gw.min(w - x0);
-        let mut sub = rows.subcols(x0, g);
-        fwd97_group(&mut sub, variant, h);
-        x0 += g;
-    }
+    for_each_group(rows, |sub| fwd97_group(sub, variant, h));
 }
 
 fn fwd97_group<T: Arith97>(rows: &mut Rows<'_, T>, variant: VerticalVariant, h: usize) {
@@ -608,15 +580,7 @@ pub fn inv97_vertical<T: Arith97>(plane: &mut AlignedPlane<T>, region: Region) {
     if h < 2 {
         return;
     }
-    let w = rows.width();
-    let gw = vert_group_cols();
-    let mut x0 = 0;
-    while x0 < w {
-        let g = gw.min(w - x0);
-        let mut sub = rows.subcols(x0, g);
-        inv97_group(&mut sub, h);
-        x0 += g;
-    }
+    for_each_group(&mut rows, |sub| inv97_group(sub, h));
 }
 
 fn inv97_group<T: Arith97>(rows: &mut Rows<'_, T>, h: usize) {
@@ -891,13 +855,13 @@ mod tests {
     // -- cache-blocking edge/remainder cases ------------------------------
     //
     // The blocked drivers walk the region in column groups of
-    // `vert_group_cols()` elements; the widths below force a final group
-    // narrower than one SIMD lane (1..=3 columns) after one or two full
+    // `VERT_GROUP_DEFAULT` elements; the widths below force a final group
+    // narrower than one vector lane (1..=3 columns) after one or two full
     // groups, which is the remainder path most likely to go wrong.
 
     #[test]
-    fn group_tail_narrower_than_simd_lane_53() {
-        let g = vert_group_cols();
+    fn group_tail_narrower_than_vector_lane_53() {
+        let g = VERT_GROUP_DEFAULT;
         for w in [g + 1, g + 3, 2 * g + 2] {
             let p0 = make_plane(w, 11, w as u32);
             let want = reference_cols_53(&p0);
@@ -916,8 +880,8 @@ mod tests {
     }
 
     #[test]
-    fn group_tail_narrower_than_simd_lane_97() {
-        let g = vert_group_cols();
+    fn group_tail_narrower_than_vector_lane_97() {
+        let g = VERT_GROUP_DEFAULT;
         for w in [g + 1, g + 2] {
             let p0 = make_plane(w, 9, w as u32).to_f32();
             let want = reference_cols_97(&p0);

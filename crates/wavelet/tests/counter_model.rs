@@ -9,7 +9,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 use wavelet::rowops::Region;
-use wavelet::vertical::{fwd53_vertical, fwd97_vertical, vert_group_cols};
+use wavelet::vertical::{fwd53_vertical, fwd97_vertical, VERT_GROUP_DEFAULT};
 use wavelet::{vertical_traffic, Filter, VerticalVariant};
 use xpart::AlignedPlane;
 
@@ -84,7 +84,7 @@ fn counter_bytes_agree_with_traffic_model() {
 #[test]
 fn blocked_driver_records_single_invocation() {
     let _g = counters_lock();
-    let g = vert_group_cols();
+    let g = VERT_GROUP_DEFAULT;
     let (w, h) = (2 * g + 3, 12);
     obs::counters::set_enabled(true);
     obs::counters::reset();
