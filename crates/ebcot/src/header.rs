@@ -149,7 +149,7 @@ pub fn encode_packet(st: &mut PrecinctState, layer: u32, contribs: &[Contributio
     let nonempty = contribs.iter().any(|c| c.num_passes > 0);
     out.put(u8::from(nonempty));
     if !nonempty {
-        return out.finish();
+        return out.finish_header();
     }
     for y in 0..st.cbh {
         for x in 0..st.cbw {
@@ -194,7 +194,7 @@ pub fn encode_packet(st: &mut PrecinctState, layer: u32, contribs: &[Contributio
             st.passes_done[i] += c.num_passes;
         }
     }
-    out.finish()
+    out.finish_header()
 }
 
 /// Decode one packet header; the mirror of [`encode_packet`]. Returns the
@@ -385,6 +385,25 @@ mod tests {
             let mut dec = PrecinctState::new(2, 2);
             let _ = decode_packet(&mut dec, 0, &hdr[..cut]); // must not panic
         }
+    }
+
+    #[test]
+    fn header_ending_on_ff_keeps_its_stuffed_byte() {
+        // 24 header bits whose last byte is all ones: inclusion, six
+        // missing planes, one pass, Lblock 3 -> 8, and a length of 255.
+        // The stuffed zero bit after that 0xFF belongs to the header, so
+        // the body must start one byte later (Annex B.10.1).
+        let mut enc = PrecinctState::new(1, 1);
+        enc.set_encoder_values(&[0], &[6]);
+        let hdr = encode_packet(&mut enc, 0, &[contribution(1, &[255])]);
+        assert!(hdr.ends_with(&[0xFF, 0x00]), "{hdr:02X?}");
+        let mut stream = hdr.clone();
+        stream.extend_from_slice(&[0xC3, 0x5A, 0xFF, 0x10]);
+        let mut dec = PrecinctState::new(1, 1);
+        let (got, used) = decode_packet(&mut dec, 0, &stream).unwrap();
+        assert_eq!(used, hdr.len());
+        assert_eq!(got[0].pass_lens, vec![255]);
+        assert_eq!(got[0].zero_planes, 6);
     }
 
     #[test]

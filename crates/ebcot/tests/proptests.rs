@@ -1,6 +1,7 @@
 //! Property tests for Tier-1, tag trees, and rate allocation.
 
 use ebcot::block::{decode_block, encode_block, BandKind};
+use ebcot::header::{decode_packet, encode_packet, Contribution, PrecinctState};
 use ebcot::rate::{allocate, BlockSummary};
 use ebcot::tagtree::TagTree;
 use mqcoder::{RawDecoder, RawEncoder};
@@ -90,6 +91,58 @@ proptest! {
         for y in 0..h {
             for x in 0..w {
                 prop_assert_eq!(dec.decode_value(x, y, &mut inp), vals[y * 8 + x]);
+            }
+        }
+    }
+
+    #[test]
+    fn packet_header_consumes_exactly_its_own_bytes(
+        cbw in 1usize..4,
+        cbh in 1usize..3,
+        seed in any::<u32>(),
+        body in prop::collection::vec(any::<u8>(), 0..6),
+    ) {
+        // Two layers of random contributions; pass lengths lean towards
+        // all-ones values so headers often end on an 0xFF byte. Whatever
+        // body follows, the decoder must stop at the header's last byte.
+        let mut x = seed | 1;
+        let mut r = move || {
+            x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+            (x >> 8) as usize
+        };
+        let n = cbw * cbh;
+        let first: Vec<u32> = (0..n).map(|_| [0, 0, 1, u32::MAX][r() % 4]).collect();
+        let zbp: Vec<u32> = (0..n).map(|_| (r() % 12) as u32).collect();
+        let mut enc = PrecinctState::new(cbw, cbh);
+        enc.set_encoder_values(&first, &zbp);
+        let mut dec = PrecinctState::new(cbw, cbh);
+        for layer in 0..2u32 {
+            let contribs: Vec<Contribution> = (0..n)
+                .map(|i| {
+                    let np = if first[i] == layer {
+                        r() % 6 + 1
+                    } else if first[i] < layer {
+                        r() % 4
+                    } else {
+                        0
+                    };
+                    let pass_lens = (0..np)
+                        .map(|_| if r() % 2 == 0 { (1 << (r() % 14)) - 1 } else { r() % 5000 })
+                        .collect();
+                    Contribution { num_passes: np, pass_lens, zero_planes: zbp[i] }
+                })
+                .collect();
+            let hdr = encode_packet(&mut enc, layer, &contribs);
+            let mut stream = hdr.clone();
+            stream.extend_from_slice(&body);
+            let (got, used) = decode_packet(&mut dec, layer, &stream).unwrap();
+            prop_assert_eq!(used, hdr.len());
+            for (i, (g, c)) in got.iter().zip(&contribs).enumerate() {
+                prop_assert_eq!(g.num_passes, c.num_passes);
+                prop_assert_eq!(&g.pass_lens, &c.pass_lens);
+                if first[i] == layer {
+                    prop_assert_eq!(g.zero_planes, zbp[i]);
+                }
             }
         }
     }

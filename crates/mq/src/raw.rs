@@ -47,17 +47,34 @@ impl RawEncoder {
         self.used = 0;
     }
 
-    /// Pad the final partial byte with 1-bits? No — the standard pads raw
-    /// segments with 0s to the byte boundary; a terminal 0xFF is dropped.
+    /// Pad the final partial byte with 0s to the byte boundary and drop a
+    /// terminal 0xFF: a code-block segment's decoder reads past the end as
+    /// 0xFF anyway.
     pub fn finish(mut self) -> Vec<u8> {
-        if self.used > 0 {
-            self.byte <<= self.cap - self.used;
-            self.flush_byte();
-        }
+        self.pad();
         if let Some(&0xFF) = self.out.last() {
             self.out.pop();
         }
         self.out
+    }
+
+    /// Finish a packet header (Annex B.10.1): pad like [`RawEncoder::finish`],
+    /// but keep a terminal 0xFF and follow it with the 0x00 byte that holds
+    /// its stuffed bit. The packet body comes right after the header, so
+    /// the header must not end on 0xFF.
+    pub fn finish_header(mut self) -> Vec<u8> {
+        self.pad();
+        if let Some(&0xFF) = self.out.last() {
+            self.out.push(0x00);
+        }
+        self.out
+    }
+
+    fn pad(&mut self) {
+        if self.used > 0 {
+            self.byte <<= self.cap - self.used;
+            self.flush_byte();
+        }
     }
 
     /// Bytes emitted so far (excluding the partial byte).
@@ -89,9 +106,11 @@ impl<'a> RawDecoder<'a> {
     }
 
     /// Bytes consumed so far (including the partially read byte). Packet
-    /// header parsing uses this to find the byte-aligned end of a header.
+    /// header parsing uses this to find the byte-aligned end of a header;
+    /// when the last byte read is 0xFF, the byte after it carries the
+    /// stuffed bit and is counted too (see [`RawEncoder::finish_header`]).
     pub fn bytes_consumed(&self) -> usize {
-        self.pos
+        self.pos + usize::from(self.prev_ff)
     }
 
     /// Read one bit.
@@ -161,5 +180,21 @@ mod tests {
     #[test]
     fn empty_is_empty() {
         assert!(RawEncoder::new().finish().is_empty());
+        assert!(RawEncoder::new().finish_header().is_empty());
+    }
+
+    #[test]
+    fn header_finish_keeps_terminal_ff_and_its_stuffed_byte() {
+        let mut enc = RawEncoder::new();
+        for _ in 0..8 {
+            enc.put(1);
+        }
+        let bytes = enc.finish_header();
+        assert_eq!(bytes, vec![0xFF, 0x00]);
+        let mut dec = RawDecoder::new(&bytes);
+        for _ in 0..8 {
+            assert_eq!(dec.get(), 1);
+        }
+        assert_eq!(dec.bytes_consumed(), 2);
     }
 }
