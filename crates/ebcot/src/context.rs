@@ -104,80 +104,6 @@ pub fn mr_context(first: bool, any_sig_neighbor: bool) -> usize {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Table-driven context lookup (branch-free inner loops)
-//
-// The branchy `zc_context` / `sc_context` matches above stay as the readable
-// reference; the tables below are built from them once per process, so
-// equivalence is by construction (and additionally pinned by exhaustive
-// tests). The Tier-1 passes index the tables with a small integer computed
-// from raw neighbor counts — no data-dependent branches in the significance
-// state machine.
-// ---------------------------------------------------------------------------
-
-/// Flat index into a [`zc_lut`] table: `h`, `v` in 0..=2, `d` in 0..=4.
-#[inline]
-pub fn zc_index(h: u32, v: u32, d: u32) -> usize {
-    (h * 15 + v * 5 + d) as usize
-}
-
-/// Zero-coding context table for a band class: 45 entries addressed by
-/// [`zc_index`]. Equivalent to [`zc_context`] over its whole domain.
-pub fn zc_lut(kind: crate::BandKind) -> &'static [u8; 45] {
-    use std::sync::OnceLock;
-    static LUTS: OnceLock<[[u8; 45]; 3]> = OnceLock::new();
-    let luts = LUTS.get_or_init(|| {
-        let mut t = [[0u8; 45]; 3];
-        for (ki, kind) in [
-            crate::BandKind::LlLh,
-            crate::BandKind::Hl,
-            crate::BandKind::Hh,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            for h in 0..=2u32 {
-                for v in 0..=2u32 {
-                    for d in 0..=4u32 {
-                        t[ki][zc_index(h, v, d)] = zc_context(kind, h, v, d) as u8;
-                    }
-                }
-            }
-        }
-        t
-    });
-    match kind {
-        crate::BandKind::LlLh => &luts[0],
-        crate::BandKind::Hl => &luts[1],
-        crate::BandKind::Hh => &luts[2],
-    }
-}
-
-/// Flat index into [`sc_lut`]: `hc`, `vc` are the *unclamped* sums of the
-/// two horizontal / vertical neighbor sign contributions, each in -2..=2.
-#[inline]
-pub fn sc_index(hc: i32, vc: i32) -> usize {
-    ((hc + 2) * 5 + (vc + 2)) as usize
-}
-
-/// Sign-coding (context, xor) table: 25 entries addressed by [`sc_index`].
-/// Folds the `clamp(-1, 1)` of [`sc_context`]'s inputs into the table, so
-/// callers can use raw -2..=2 sums directly.
-pub fn sc_lut() -> &'static [(u8, u8); 25] {
-    use std::sync::OnceLock;
-    static LUT: OnceLock<[(u8, u8); 25]> = OnceLock::new();
-    LUT.get_or_init(|| {
-        let mut t = [(0u8, 0u8); 25];
-        for hc in -2..=2i32 {
-            for vc in -2..=2i32 {
-                let (cx, xor) = sc_context(hc.clamp(-1, 1), vc.clamp(-1, 1));
-                t[sc_index(hc, vc)] = (cx as u8, xor);
-            }
-        }
-        t
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,35 +179,6 @@ mod tests {
             }
         }
         assert_eq!(sc_context(0, 0), (9, 0));
-    }
-
-    #[test]
-    fn zc_lut_matches_function_exhaustively() {
-        for kind in [BandKind::LlLh, BandKind::Hl, BandKind::Hh] {
-            let lut = zc_lut(kind);
-            for h in 0..=2u32 {
-                for v in 0..=2u32 {
-                    for d in 0..=4u32 {
-                        assert_eq!(
-                            lut[zc_index(h, v, d)] as usize,
-                            zc_context(kind, h, v, d),
-                            "{kind:?} h={h} v={v} d={d}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sc_lut_matches_function_exhaustively() {
-        let lut = sc_lut();
-        for hc in -2..=2i32 {
-            for vc in -2..=2i32 {
-                let (cx, xor) = sc_context(hc.clamp(-1, 1), vc.clamp(-1, 1));
-                assert_eq!(lut[sc_index(hc, vc)], (cx as u8, xor), "hc={hc} vc={vc}");
-            }
-        }
     }
 
     #[test]

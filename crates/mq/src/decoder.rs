@@ -14,7 +14,7 @@ pub struct MqDecoder<'a> {
     bp: usize,
     c: u32,
     a: u32,
-    ct: i32,
+    ct: u32,
     symbols: u64,
 }
 
@@ -114,16 +114,24 @@ impl<'a> MqDecoder<'a> {
         d
     }
 
-    /// RENORMD.
+    /// RENORMD. The standard runs BYTEIN whenever `ct` is 0 before a
+    /// one-bit shift; here the shift count comes from one leading-zeros
+    /// count and is split only where `ct` reaches 0, so BYTEIN runs at the
+    /// same points with the same `c`.
+    #[inline]
     fn renorm(&mut self) {
+        // `a` is nonzero and below 0x8000: shift until bit 15 is set.
+        let mut n = self.a.leading_zeros() - 16;
+        self.a <<= n;
         loop {
             if self.ct == 0 {
                 self.byte_in();
             }
-            self.a <<= 1;
-            self.c <<= 1;
-            self.ct -= 1;
-            if self.a & 0x8000 != 0 {
+            let s = n.min(self.ct);
+            self.c <<= s;
+            self.ct -= s;
+            n -= s;
+            if n == 0 {
                 break;
             }
         }
@@ -133,6 +141,7 @@ impl<'a> MqDecoder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::QE_TABLE;
     use crate::{Contexts, MqEncoder};
 
     fn roundtrip(seq: &[(usize, u8)], nctx: usize) {
@@ -183,6 +192,90 @@ mod tests {
             })
             .collect();
         roundtrip(&seq, 1);
+    }
+
+    /// The decoder exactly as Annex C.3 draws it: RENORMD one bit per
+    /// iteration. The oracle for [`MqDecoder`], driven by the same BYTEIN.
+    fn decode_bitwise(d: &mut MqDecoder<'_>, ctxs: &mut Contexts, cx: usize) -> u8 {
+        let st = ctxs.get_mut(cx);
+        let row = QE_TABLE[st.index as usize];
+        let qe = row.qe as u32;
+        d.a -= qe;
+        let (bit, renorm) = if (d.c >> 16) < qe {
+            if d.a < qe {
+                d.a = qe;
+                st.index = row.nmps;
+                (st.mps, true)
+            } else {
+                d.a = qe;
+                let bit = 1 - st.mps;
+                st.mps ^= row.switch_mps;
+                st.index = row.nlps;
+                (bit, true)
+            }
+        } else {
+            d.c -= qe << 16;
+            if d.a & 0x8000 != 0 {
+                (st.mps, false)
+            } else if d.a < qe {
+                let bit = 1 - st.mps;
+                st.mps ^= row.switch_mps;
+                st.index = row.nlps;
+                (bit, true)
+            } else {
+                st.index = row.nmps;
+                (st.mps, true)
+            }
+        };
+        if renorm {
+            loop {
+                if d.ct == 0 {
+                    d.byte_in();
+                }
+                d.a <<= 1;
+                d.c <<= 1;
+                d.ct -= 1;
+                if d.a & 0x8000 != 0 {
+                    break;
+                }
+            }
+        }
+        bit
+    }
+
+    #[test]
+    fn decisions_match_the_bitwise_reference_on_arbitrary_bytes() {
+        // Arbitrary input, not only encoder output: 0xFF runs, marker-like
+        // pairs and reads far past the end must all decode the same.
+        let mut x: u64 = 77;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as u32
+        };
+        for round in 0..300 {
+            let len = (next() % 64) as usize;
+            let data: Vec<u8> = (0..len)
+                .map(|_| match next() % 4 {
+                    0 => 0xFF,
+                    1 => 0x8F + (next() % 2) as u8,
+                    _ => next() as u8,
+                })
+                .collect();
+            let mut fast = MqDecoder::new(&data);
+            let mut slow = MqDecoder::new(&data);
+            let (mut cf, mut cs) = (Contexts::new(19), Contexts::new(19));
+            for i in 0..2000 {
+                let cx = (next() % 19) as usize;
+                let want = decode_bitwise(&mut slow, &mut cs, cx);
+                assert_eq!(fast.decode(&mut cf, cx), want, "round {round} decision {i}");
+            }
+            assert_eq!(
+                (fast.c, fast.a, fast.ct, fast.bp),
+                (slow.c, slow.a, slow.ct, slow.bp)
+            );
+        }
     }
 
     #[test]
