@@ -7,11 +7,14 @@
 //! segment's byte length travels explicitly in the packet headers
 //! (TERMALL-style), so the decoder never scans for marker bytes.
 
-/// MSB-first bit writer.
+/// MSB-first bit writer. Bits collect in a 64-bit accumulator, which
+/// goes out 32 bits at a time.
 #[derive(Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    acc: u32,
+    /// Pending bits in the low `nbits` bits; anything above is stale.
+    acc: u64,
+    /// Pending bit count, always below 32 between calls.
     nbits: u32,
 }
 
@@ -23,20 +26,21 @@ impl BitWriter {
     #[inline]
     pub fn put_bit(&mut self, bit: u32) {
         debug_assert!(bit <= 1);
-        self.acc = (self.acc << 1) | bit;
-        self.nbits += 1;
-        if self.nbits == 8 {
-            self.buf.push(self.acc as u8);
-            self.acc = 0;
-            self.nbits = 0;
-        }
+        self.put_bits(bit, 1);
     }
 
     /// Write the low `n` bits of `v`, most significant first (`n <= 32`).
+    /// `n == 0` writes nothing.
     #[inline]
     pub fn put_bits(&mut self, v: u32, n: usize) {
-        for i in (0..n).rev() {
-            self.put_bit((v >> i) & 1);
+        debug_assert!(n <= 32);
+        let n = n as u32;
+        self.acc = (self.acc << n) | (u64::from(v) & ((1u64 << n) - 1));
+        self.nbits += n;
+        if self.nbits >= 32 {
+            self.nbits -= 32;
+            let word = (self.acc >> self.nbits) as u32;
+            self.buf.extend_from_slice(&word.to_be_bytes());
         }
     }
 
@@ -47,6 +51,10 @@ impl BitWriter {
 
     /// Pad the final partial byte with zeros and return the bytes.
     pub fn finish(mut self) -> Vec<u8> {
+        while self.nbits >= 8 {
+            self.nbits -= 8;
+            self.buf.push((self.acc >> self.nbits) as u8);
+        }
         if self.nbits > 0 {
             self.buf.push((self.acc << (8 - self.nbits)) as u8);
         }
@@ -132,6 +140,30 @@ mod tests {
         assert_eq!(r.bits(8), 0xff);
         assert_eq!(r.bits(5), 0);
         assert!(r.overrun());
+    }
+
+    #[test]
+    fn accumulator_matches_bitwise_packing() {
+        // Runs of every width 0..=32 cross the 32-bit flush boundary at
+        // every offset; the bytes must equal a one-bit-at-a-time packing.
+        let mut x: u32 = 0x2545_F491;
+        let mut w = BitWriter::new();
+        let mut bits = Vec::new();
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            let n = (x % 33) as usize;
+            let v = x.rotate_left(7);
+            w.put_bits(v, n);
+            bits.extend((0..n).rev().map(|i| (v >> i) & 1));
+        }
+        assert_eq!(w.len_bits(), bits.len());
+        let mut want = vec![0u8; bits.len().div_ceil(8)];
+        for (i, &b) in bits.iter().enumerate() {
+            want[i / 8] |= (b as u8) << (7 - i % 8);
+        }
+        assert_eq!(w.finish(), want);
     }
 
     #[test]

@@ -151,10 +151,13 @@ pub fn get_gamma(r: &mut BitReader<'_>) -> Option<u32> {
 /// Unary code for `v`: `v` ones then a zero.
 #[inline]
 pub fn put_unary(w: &mut BitWriter, v: u32) {
-    for _ in 0..v {
-        w.put_bit(1);
+    let mut ones = v;
+    while ones >= 32 {
+        w.put_bits(u32::MAX, 32);
+        ones -= 32;
     }
-    w.put_bit(0);
+    // `ones` ones then the zero: at most 32 bits in one write.
+    w.put_bits(((1u64 << (ones + 1)) - 2) as u32, (ones + 1) as usize);
 }
 
 /// Decode a unary value with an upper bound (`None` past `cap`).
@@ -224,6 +227,19 @@ mod tests {
         }
         for v in 0..12u32 {
             assert_eq!(get_unary(&mut r, 32), Some(v));
+        }
+    }
+
+    #[test]
+    fn unary_writes_v_ones_then_a_zero_at_any_length() {
+        for v in [0u32, 1, 30, 31, 32, 33, 63, 64, 70] {
+            let mut w = BitWriter::new();
+            put_unary(&mut w, v);
+            assert_eq!(w.len_bits(), v as usize + 1);
+            let bytes = w.finish();
+            let mut r = BitReader::new(&bytes);
+            assert!((0..v).all(|_| r.bit() == 1), "v={v}");
+            assert_eq!(r.bit(), 0, "v={v}");
         }
     }
 
