@@ -24,8 +24,8 @@
 use crate::control::EncodeControl;
 use crate::kernels::{ict_forward_row, level_shift_row, rct_forward_row};
 use crate::pipeline::{
-    band_kind, block_grid, build_profile, default_base_step, rate_control_and_assemble,
-    BlockRecord, Transformed,
+    band_kind, block_grid, build_profile, default_base_step, gather_block,
+    rate_control_and_assemble, BlockRecord, Transformed,
 };
 use crate::profile::StageTime;
 use crate::quant::{band_delta, StepSize, GUARD_BITS};
@@ -170,13 +170,7 @@ pub fn encode_parallel_ctl(
         }
         tier1_counts[wi].fetch_add(1, Ordering::Relaxed);
         let j = &jobs[i];
-        let plane = &t.indices[j.comp];
-        let mut data = Vec::with_capacity(j.bw * j.bh);
-        for y in j.y0..j.y0 + j.bh {
-            for x in j.x0..j.x0 + j.bw {
-                data.push(plane.get(x, y));
-            }
-        }
+        let data = gather_block(&t.indices[j.comp], j.x0, j.y0, j.bw, j.bh);
         let enc = params.coder.block_coder().encode(
             &data,
             j.bw,
