@@ -5,7 +5,7 @@
 //! host-thread driver (`encode_parallel_with_profile`), not the simulated
 //! Cell timeline: the `--spes` list is reused as the worker counts. Also
 //! prints per-worker job counts so the fan-out is visible, and asserts the
-//! codestream stays byte-identical to the sequential encoder at every
+//! codestream stays byte-identical to the one-worker encode at every
 //! worker count (the paper's implicit invariant).
 
 use j2k_bench::{lossless_params, lossy_params, ms, parse_args, row, workload_rgb};
@@ -23,7 +23,7 @@ fn transform_secs(prof: &WorkloadProfile) -> f64 {
 }
 
 fn sweep(label: &str, im: &imgio::Image, params: &EncoderParams, workers: &[usize], csv: bool) {
-    let seq = encode(im, params).expect("sequential encode");
+    let seq = encode(im, params).expect("one-worker encode");
     println!("{label}");
     row(
         csv,

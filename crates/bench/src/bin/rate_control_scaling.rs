@@ -6,7 +6,7 @@
 //!
 //! Prints a table (or `--csv`) and, with `--out FILE`, writes the
 //! machine-readable `BENCH_rate.json` consumed by CI. Asserts the
-//! codestream stays byte-identical to the sequential encoder at every
+//! codestream stays byte-identical to the one-worker encode at every
 //! worker count, so the numbers can never come from a divergent encode.
 
 use j2k_bench::{lossy_params, ms, parse_args, row, workload_rgb, BenchReport, Direction};
@@ -31,7 +31,7 @@ fn main() {
     let args = parse_args();
     let im = workload_rgb(&args);
     let params = lossy_params(args.levels);
-    let seq = encode(&im, &params).expect("sequential encode");
+    let seq = encode(&im, &params).expect("one-worker encode");
 
     println!(
         "rate-control/Tier-2 tail scaling ({}x{} RGB lossy, rate 0.1)",

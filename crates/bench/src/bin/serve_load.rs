@@ -38,11 +38,11 @@
 //! under Elevated pressure the daemon may answer with a codestream from
 //! the faster HT coder (marked `degraded`) instead of shedding the job.
 //! `--verify` then checks degraded replies byte-identical to the local
-//! sequential encode with `EncoderParams::degrade_for_load()` applied —
+//! one-worker encode with `EncoderParams::degrade_for_load()` applied —
 //! degradation must be a *policy* change, never a correctness one.
 //!
 //! With `--verify`, every returned codestream is checked **byte-identical**
-//! to the local sequential `j2k_core::encode` of the same input and
+//! to the local one-worker `j2k_core::encode` of the same input and
 //! decoded back to the original image — the service must never trade
 //! correctness for throughput. With `--decode`, each returned codestream
 //! is additionally sent back through the daemon's `Decode` request and
@@ -375,7 +375,7 @@ fn main() {
                                 }
                                 if o.verify {
                                     // A degraded reply must match the local
-                                    // sequential encode with the *degraded*
+                                    // one-worker encode with the *degraded*
                                     // params — same determinism bar, different
                                     // (server-chosen) coder.
                                     let vparams = if degraded {

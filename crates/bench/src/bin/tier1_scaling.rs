@@ -3,7 +3,7 @@
 //! is reused as the worker counts, as in `host_parallel_scaling`).
 //!
 //! For each coder the codestream is asserted byte-identical to the
-//! sequential encoder at every worker count and on every run. Each row
+//! one-worker encode at every worker count and on every run. Each row
 //! runs one untimed warmup encode, then times [`REPS`] encodes, the two
 //! coders taking turns; its Tier-1 stage wall time is their median (min
 //! and median absolute deviation go to the JSON detail), converted into
@@ -93,7 +93,7 @@ fn main() {
     });
     let seqs = params
         .each_ref()
-        .map(|p| encode(&im, p).expect("sequential encode"));
+        .map(|p| encode(&im, p).expect("one-worker encode"));
     // The coders alternate run by run, so host speed drift during the
     // sweep reaches both sides of the HT-vs-MQ ratio alike.
     let mut times = coders.map(|_| vec![Vec::with_capacity(REPS); args.spes.len()]);
@@ -105,7 +105,7 @@ fn main() {
                     encode_parallel_with_profile(&im, p, n).expect("parallel encode");
                 assert_eq!(
                     bytes, seqs[c],
-                    "{} codestream changed at workers={n} vs sequential",
+                    "{} codestream changed at workers={n} vs one worker",
                     coders[c]
                 );
                 if rep > 0 {

@@ -2,8 +2,8 @@
 //! [`Coder`] registry that lets the MQ (EBCOT Annex C/D) and HT
 //! (Part 15 shaped) backends coexist behind one interface.
 //!
-//! Every encoder driver (sequential, host-parallel, cell-mapped) and
-//! the decoder dispatch through [`Coder::block_coder`]; the choice is
+//! The encoder (at every worker count, and under the cell-mapped entry
+//! point) and the decoder dispatch through [`Coder::block_coder`]; the choice is
 //! signalled in the codestream's COD style byte, so a decoder never
 //! guesses. Both backends produce the same [`EncodedBlock`] shape —
 //! per-pass terminated segments with rate/distortion bookkeeping — so

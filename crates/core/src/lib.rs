@@ -2,15 +2,17 @@
 //! engineered after Kang & Bader, *Optimizing JPEG2000 Still Image Encoding
 //! on the Cell Broadband Engine* (ICPP 2008).
 //!
-//! The crate provides three interchangeable encoder drivers that produce
-//! **byte-identical** codestreams:
+//! The crate has one encoder, [`parallel::encode_parallel`]: a host-thread
+//! implementation of the paper's parallelization (chunked sample stages +
+//! Tier-1 work queue) whose codestream is **byte-identical** at every
+//! worker count. Its entry points are views of that one driver:
 //!
-//! * [`encode`] — the sequential reference pipeline;
-//! * [`parallel::encode_parallel`] — a host-thread implementation of the
-//!   paper's parallelization (chunked sample stages + Tier-1 work queue);
-//! * [`cell::encode_on_cell`] — the same pipeline mapped onto the
-//!   [`cellsim`] machine model, returning a simulated per-stage
-//!   [`cellsim::Timeline`] alongside the codestream.
+//! * [`encode`] — the driver at one worker, on the calling thread;
+//! * [`encode_parallel_ctl`] — cancellable and deadline-aware, as the
+//!   encode service runs it;
+//! * [`cell::encode_on_cell`] — a one-worker encode whose measured
+//!   profile is scheduled on the [`cellsim`] machine model, returning a
+//!   simulated per-stage [`cellsim::Timeline`] alongside the codestream.
 //!
 //! plus [`decode`], a full decoder used to *verify* the encoder (lossless
 //! round-trip, lossy PSNR) in the absence of the paper's Jasper baseline.
@@ -36,7 +38,7 @@ pub use cell::encode_on_cell;
 pub use coder::{BlockCoder, Coder};
 pub use control::EncodeControl;
 pub use parallel::{
-    encode_parallel, encode_parallel_ctl, encode_parallel_opts, encode_parallel_with_profile,
+    encode_parallel, encode_parallel_ctl, encode_parallel_with_profile,
     transform_coefficients_parallel, ParallelOptions,
 };
 pub use pipeline::{

@@ -1,4 +1,4 @@
-//! Host-thread implementation of the paper's parallelization strategy.
+//! The encode driver: the paper's parallelization strategy on host threads.
 //!
 //! Mirrors the Cell mapping with real threads, end to end:
 //!
@@ -14,12 +14,13 @@
 //!
 //! One `workers` knob drives both fan-outs. At one worker nothing is
 //! spawned: the calling thread runs every stage and drains the Tier-1
-//! queue itself (DESIGN.md §9). Output is byte-identical to
-//! the sequential encoder for every worker count — parallelization must
-//! never change the codestream (asserted by tests and proptests): the
-//! vertical filter is column-local, the horizontal filter row-local, and
-//! level shift / MCT / quantization are elementwise, so any disjoint
-//! partition performs the same arithmetic on the same operands.
+//! queue itself (DESIGN.md §9); [`crate::encode`] is this driver at one
+//! worker. Output is byte-identical for every worker count —
+//! parallelization must never change the codestream (asserted by tests
+//! and proptests): the vertical filter is column-local, the horizontal
+//! filter row-local, and level shift / MCT / quantization are
+//! elementwise, so any disjoint partition performs the same arithmetic on
+//! the same operands.
 
 use crate::control::EncodeControl;
 use crate::kernels::{ict_forward_row, level_shift_row, rct_forward_row};
@@ -31,11 +32,12 @@ use crate::profile::StageTime;
 use crate::quant::{band_delta, StepSize, GUARD_BITS};
 use crate::{codestream::Quant, Arithmetic, CodecError, EncoderParams, Mode, WorkloadProfile};
 use imgio::Image;
+use obs::counters::{self, Kernel};
 use obs::trace;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use wavelet::rowops::{Region, SharedPlane};
+use wavelet::rowops::{Region, Rows, SharedPlane};
 use wavelet::{horizontal, norms, vertical};
 use xpart::{AlignedPlane, ChunkPlan, Owner, PlanConfig, CACHE_LINE};
 
@@ -55,7 +57,7 @@ pub fn encode_parallel(
     params: &EncoderParams,
     workers: usize,
 ) -> Result<Vec<u8>, CodecError> {
-    encode_parallel_opts(image, params, workers, &ParallelOptions::default()).map(|(b, _)| b)
+    encode_parallel_with_profile(image, params, workers).map(|(b, _)| b)
 }
 
 /// Encode with `workers` threads and also return the measured
@@ -66,26 +68,15 @@ pub fn encode_parallel_with_profile(
     params: &EncoderParams,
     workers: usize,
 ) -> Result<(Vec<u8>, WorkloadProfile), CodecError> {
-    encode_parallel_opts(image, params, workers, &ParallelOptions::default())
+    encode_parallel_ctl(image, params, workers, &ParallelOptions::default(), None)
 }
 
-/// [`encode_parallel_with_profile`] with explicit [`ParallelOptions`].
-pub fn encode_parallel_opts(
-    image: &Image,
-    params: &EncoderParams,
-    workers: usize,
-    opts: &ParallelOptions,
-) -> Result<(Vec<u8>, WorkloadProfile), CodecError> {
-    encode_parallel_ctl(image, params, workers, opts, None)
-}
-
-/// Cancellable / deadline-aware encode: identical to
-/// [`encode_parallel_opts`] but polls `ctl` at every stage boundary and,
-/// during Tier-1, once per code block, returning
-/// [`CodecError::Cancelled`] / [`CodecError::Deadline`] instead of a
-/// codestream when the control stops the encode. The produced codestream
-/// (when the encode completes) is byte-identical to the sequential
-/// encoder — the control adds checkpoints, never arithmetic.
+/// Cancellable / deadline-aware encode with explicit [`ParallelOptions`]:
+/// polls `ctl` at every stage boundary and, during Tier-1, once per code
+/// block, returning [`CodecError::Cancelled`] / [`CodecError::Deadline`]
+/// instead of a codestream when the control stops the encode. A completed
+/// encode is byte-identical to one without a control — the control adds
+/// checkpoints, never arithmetic.
 pub fn encode_parallel_ctl(
     image: &Image,
     params: &EncoderParams,
@@ -103,53 +94,66 @@ pub fn encode_parallel_ctl(
     }
 
     // Sample stages, chunk-parallel.
-    let (t, stats) = transform_samples_parallel_ctl(image, params, workers, opts, ctl)?;
-    let mut stage_times = stats.stage_times;
-    let mut worker_jobs = stats.worker_jobs;
+    let (t, mut stats) = sample_stages(image, params, workers, opts, ctl)?;
 
-    // Build the block job list (comp, band, grid position, geometry).
-    struct Job {
-        comp: usize,
-        band_idx: usize,
-        bx: usize,
-        by: usize,
-        x0: usize,
-        y0: usize,
-        bw: usize,
-        bh: usize,
-    }
-    let mut jobs = Vec::new();
-    for c in 0..t.indices.len() {
-        for (bi, b) in t.bands.iter().enumerate() {
-            for (bx, by, x0, y0, bw, bh) in block_grid(b, params.cb_size) {
-                jobs.push(Job {
-                    comp: c,
-                    band_idx: bi,
-                    bx,
-                    by,
-                    x0,
-                    y0,
-                    bw,
-                    bh,
-                });
-            }
-        }
-    }
-
-    // Tier-1 work queue: workers pull the next job index atomically.
     let stage_span = trace::span("stage:tier1")
         .cat("stage")
         .arg("coder", params.coder.id());
     let t1 = Instant::now();
+    let (records, tier1_counts) = tier1_blocks(&t, params, workers, ctl)?;
+    drop(stage_span);
+    stats.push("tier1", t1);
+    accumulate(&mut stats.worker_jobs, &tier1_counts);
+
+    let rc_span = trace::span("stage:rate-control").cat("stage");
+    let raw = image.raw_bytes() as u64;
+    let out = rate_control_and_assemble(image, params, &t, &records, raw, workers)?;
+    drop(rc_span);
+    let mut stage_times = stats.stage_times;
+    stage_times.push(StageTime::new("rate-control", out.alloc_secs));
+    stage_times.push(StageTime::new("tier2", out.tier2_secs));
+
+    let profile = build_profile(
+        image,
+        params,
+        &records,
+        &out,
+        stage_times,
+        stats.worker_jobs,
+    );
+    Ok((out.bytes, profile))
+}
+
+/// Tier-1 code every block of `t` from a dynamic work queue: `workers`
+/// pull the next block index from an atomic cursor (on the calling thread
+/// alone when `workers == 1`). Returns the records in block order
+/// (component, band, grid row, grid column) plus blocks coded per worker.
+/// Polls `ctl` once per block; an injected `tier1.block` error fails the
+/// stage.
+pub(crate) fn tier1_blocks(
+    t: &Transformed,
+    params: &EncoderParams,
+    workers: usize,
+    ctl: Option<&EncodeControl>,
+) -> Result<(Vec<BlockRecord>, Vec<u64>), CodecError> {
+    // The block job list: (comp, band, (bx, by, x0, y0, bw, bh)).
+    let mut jobs = Vec::new();
+    for c in 0..t.indices.len() {
+        for (bi, b) in t.bands.iter().enumerate() {
+            for cell in block_grid(b, params.cb_size) {
+                jobs.push((c, bi, cell));
+            }
+        }
+    }
+
     let cursor = AtomicUsize::new(0);
     // First injected `tier1.block` error, if the failpoint fires: the
     // erroring worker parks its message here and stops claiming jobs.
     let injected: Mutex<Option<String>> = Mutex::new(None);
-    let tier1_counts: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+    let counts: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     let mut slots: Vec<Option<BlockRecord>> = Vec::with_capacity(jobs.len());
     slots.resize_with(jobs.len(), || None);
     let slot_ptr = SlotVec(slots.as_mut_ptr());
-    let njobs = jobs.len();
     // One worker's pull loop; `wi` indexes its job counter.
     let work = |wi: usize| loop {
         if ctl.is_some_and(|c| c.is_stopped()) {
@@ -165,23 +169,29 @@ pub fn encode_parallel_ctl(
             break;
         }
         let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= njobs {
+        let Some(&(comp, bi, (bx, by, x0, y0, bw, bh))) = jobs.get(i) else {
             break;
-        }
-        tier1_counts[wi].fetch_add(1, Ordering::Relaxed);
-        let j = &jobs[i];
-        let data = gather_block(&t.indices[j.comp], j.x0, j.y0, j.bw, j.bh);
+        };
+        counts[wi].fetch_add(1, Ordering::Relaxed);
+        let data = gather_block(&t.indices[comp], x0, y0, bw, bh);
         let enc = params.coder.block_coder().encode(
             &data,
-            j.bw,
-            j.bh,
-            band_kind(t.bands[j.band_idx].band),
+            bw,
+            bh,
+            band_kind(t.bands[bi].band),
             params.bypass,
+        );
+        // Tier-2 signals M_b - num_planes zero planes as a u8 difference.
+        assert!(
+            enc.num_planes <= t.max_planes[bi],
+            "band {bi}: {} planes exceed M_b {}",
+            enc.num_planes,
+            t.max_planes[bi]
         );
         // R-D preparation (truncation rates/distortions + convex hull)
         // runs here, on the worker that coded the block — the post-pass
         // slice of rate control rides the queue.
-        let rec = BlockRecord::new(j.comp, j.band_idx, j.bx, j.by, enc, t.weights[j.band_idx]);
+        let rec = BlockRecord::new(comp, bi, bx, by, enc, t.weights[bi]);
         // SAFETY: each index i is claimed by exactly one worker
         // (fetch_add), so no two threads write the same slot, and the
         // main thread only reads after every worker has returned.
@@ -207,10 +217,6 @@ pub fn encode_parallel_ctl(
             }
         });
     }
-    drop(stage_span);
-    stage_times.push(StageTime::new("tier1", t1.elapsed().as_secs_f64()));
-    let tier1_counts: Vec<u64> = tier1_counts.into_iter().map(|c| c.into_inner()).collect();
-    accumulate(&mut worker_jobs, &tier1_counts);
     if let Some(c) = ctl {
         // A stopped Tier-1 leaves unclaimed slots; bail before unwrapping.
         c.check()?;
@@ -220,26 +226,21 @@ pub fn encode_parallel_ctl(
     if let Some(msg) = injected.into_inner().unwrap_or_else(|e| e.into_inner()) {
         return Err(CodecError::Injected(msg));
     }
-
-    let records: Vec<BlockRecord> = slots
+    let records = slots
         .into_iter()
         .map(|s| s.expect("every job completed"))
         .collect();
-    let rc_span = trace::span("stage:rate-control").cat("stage");
-    let raw = image.raw_bytes() as u64;
-    let out = rate_control_and_assemble(image, params, &t, &records, raw, workers)?;
-    drop(rc_span);
-    stage_times.push(StageTime::new("rate-control", out.alloc_secs));
-    stage_times.push(StageTime::new("tier2", out.tier2_secs));
-
-    let profile = build_profile(image, params, &records, &out, stage_times, worker_jobs);
-    Ok((out.bytes, profile))
+    Ok((
+        records,
+        counts.into_iter().map(|c| c.into_inner()).collect(),
+    ))
 }
 
-/// Dense quantizer-index planes from the *chunk-parallel* sample stages.
-/// Diagnostic counterpart of [`crate::pipeline::transform_coefficients`];
-/// the differential proptests assert the two agree coefficient for
-/// coefficient for every worker count and chunk width.
+/// Dense quantizer-index planes from the chunk-parallel sample stages
+/// (level shift, MCT, DWT, quantization), one per component. Diagnostic
+/// API for the differential tests: `tests/codec_properties.rs` checks it
+/// coefficient for coefficient against a whole-plane reference for every
+/// worker count and chunk width.
 pub fn transform_coefficients_parallel(
     image: &Image,
     params: &EncoderParams,
@@ -250,7 +251,7 @@ pub fn transform_coefficients_parallel(
     image
         .validate()
         .map_err(|e| CodecError::Image(e.to_string()))?;
-    let (t, _) = transform_samples_parallel(image, params, workers.max(1), opts)?;
+    let (t, _) = sample_stages(image, params, workers.max(1), opts, None)?;
     Ok(t.indices.iter().map(|p| p.to_dense()).collect())
 }
 
@@ -271,11 +272,19 @@ impl SlotVec {
 // Chunk-parallel sample stages
 // ---------------------------------------------------------------------------
 
-/// Measurements of the parallel transform: per-stage wall times plus jobs
-/// executed per worker (spawned workers first, calling thread last).
+/// Measurements of the driver: per-stage wall times plus jobs executed
+/// per worker (spawned workers first, calling thread last).
 pub(crate) struct TransformStats {
     pub stage_times: Vec<StageTime>,
     pub worker_jobs: Vec<u64>,
+}
+
+impl TransformStats {
+    /// Record stage `name` as having run since `start`.
+    fn push(&mut self, name: &'static str, start: Instant) {
+        self.stage_times
+            .push(StageTime::new(name, start.elapsed().as_secs_f64()));
+    }
 }
 
 fn accumulate(totals: &mut [u64], counts: &[u64]) {
@@ -286,8 +295,14 @@ fn accumulate(totals: &mut [u64], counts: &[u64]) {
 
 /// Auto-sized chunk width in bytes: roughly four constant-width chunks per
 /// worker, floored to one cache line (mirrors the Cell driver's sizing).
+/// One worker has no load to balance and takes the whole width as one
+/// chunk: four chunks made its sample stages 1–3% slower at 1024² and
+/// 17–20% slower at 128² (2-vCPU Xeon VM).
 fn auto_chunk_bytes(width: usize, workers: usize) -> usize {
-    let target = (width * 4) / (4 * workers.max(1));
+    if workers <= 1 {
+        return (width * 4).next_multiple_of(CACHE_LINE);
+    }
+    let target = (width * 4) / (4 * workers);
     (target / CACHE_LINE).max(1) * CACHE_LINE
 }
 
@@ -450,21 +465,12 @@ impl Assignment {
     }
 }
 
-/// Chunk-parallel version of [`crate::pipeline::transform_samples`]:
-/// byte-identical output by construction (same arithmetic on the same
-/// operands, only partitioned), plus stage measurements.
-pub(crate) fn transform_samples_parallel(
-    image: &Image,
-    params: &EncoderParams,
-    workers: usize,
-    opts: &ParallelOptions,
-) -> Result<(Transformed, TransformStats), CodecError> {
-    transform_samples_parallel_ctl(image, params, workers, opts, None)
-}
-
-/// [`transform_samples_parallel`] with an optional [`EncodeControl`]
-/// polled after each stage and between DWT levels.
-pub(crate) fn transform_samples_parallel_ctl(
+/// The sample stages on column chunks and row bands: convert, the merged
+/// level shift and MCT, DWT and, for the lossy path, quantization. Returns
+/// the quantizer-index planes with their quantization signalling, plus
+/// stage measurements. `ctl` is polled after each stage and between DWT
+/// levels.
+pub(crate) fn sample_stages(
     image: &Image,
     params: &EncoderParams,
     workers: usize,
@@ -478,8 +484,10 @@ pub(crate) fn transform_samples_parallel_ctl(
     let use_mct = comps == 3;
     let variant = params.variant;
     let bands = wavelet::subbands(w, h, params.levels);
-    let mut worker_jobs = vec![0u64; workers + 1];
-    let mut stage_times = Vec::new();
+    let mut stats = TransformStats {
+        stage_times: Vec::new(),
+        worker_jobs: vec![0u64; workers + 1],
+    };
 
     let cv_span = trace::span("stage:convert").cat("stage");
     let t0 = Instant::now();
@@ -492,7 +500,7 @@ pub(crate) fn transform_samples_parallel_ctl(
         })
         .collect::<Result<_, _>>()?;
     drop(cv_span);
-    stage_times.push(StageTime::new("convert", t0.elapsed().as_secs_f64()));
+    stats.push("convert", t0);
     if let Some(c) = ctl {
         c.check()?;
     }
@@ -514,6 +522,10 @@ pub(crate) fn transform_samples_parallel_ctl(
         }
     }
     let regions = wavelet::level_regions(w, h, params.levels);
+    // The merged MCT kernels, counted once per stage on the calling thread
+    // (like quantization): all three planes pass through them.
+    let mct_samples = (w * h * 3) as u64;
+    let mct_bytes = mct_samples * std::mem::size_of::<i32>() as u64;
 
     match params.mode {
         Mode::Lossless => {
@@ -524,6 +536,7 @@ pub(crate) fn transform_samples_parallel_ctl(
                 let shared: Vec<SharedPlane<i32>> =
                     int_planes.iter_mut().map(SharedPlane::new).collect();
                 let asg = assign_columns(&plan, if use_mct { 1 } else { comps }, h, workers);
+                let _m = use_mct.then(|| counters::measure(Kernel::MctRct, mct_samples, mct_bytes));
                 // SAFETY: plan chunks are pairwise disjoint column ranges
                 // and each job is executed by exactly one thread, so live
                 // views never overlap.
@@ -542,53 +555,24 @@ pub(crate) fn transform_samples_parallel_ctl(
                         }
                     }
                 });
-                accumulate(&mut worker_jobs, &counts);
+                accumulate(&mut stats.worker_jobs, &counts);
             }
             drop(mct_span);
-            stage_times.push(StageTime::new("mct", t1.elapsed().as_secs_f64()));
+            stats.push("mct", t1);
             if let Some(c) = ctl {
                 c.check()?;
             }
 
-            // 5/3 DWT level by level: vertical by column chunk, then (after
-            // the barrier) horizontal by row band.
-            let dwt_span = trace::span("stage:dwt").cat("stage");
-            let t2 = Instant::now();
-            {
-                let shared: Vec<SharedPlane<i32>> =
-                    int_planes.iter_mut().map(SharedPlane::new).collect();
-                for (li, r) in regions.iter().enumerate() {
-                    if let Some(c) = ctl {
-                        c.check()?;
-                    }
-                    // Failpoint `dwt.level`: fires once per decomposition
-                    // level, on the calling thread — the clean-error lever
-                    // for the service's failure (not crash) paths.
-                    if let Some(msg) = faultsim::eval("dwt.level") {
-                        return Err(CodecError::Injected(msg));
-                    }
-                    let _lvl = if trace::enabled() {
-                        trace::span(format!("dwt-level-{}", li + 1)).cat("stage")
-                    } else {
-                        trace::Span::disabled()
-                    };
-                    let lplan = plan_for(r.w, workers, opts)?;
-                    let vert = assign_columns(&lplan, comps, r.h, workers);
-                    // SAFETY: disjoint column chunks, one thread per job.
-                    let counts = vert.run("dwt", |j| unsafe {
-                        vertical::fwd53_rows(shared[j.comp].rows(j.region), variant);
-                    });
-                    accumulate(&mut worker_jobs, &counts);
-                    let horiz = assign_rows(r.w, r.h, comps, workers);
-                    // SAFETY: disjoint row bands, one thread per job.
-                    let counts = horiz.run("dwt", |j| unsafe {
-                        horizontal::fwd53_rows(shared[j.comp].rows(j.region));
-                    });
-                    accumulate(&mut worker_jobs, &counts);
-                }
-            }
-            drop(dwt_span);
-            stage_times.push(StageTime::new("dwt", t2.elapsed().as_secs_f64()));
+            dwt_levels(
+                &mut int_planes,
+                &regions,
+                workers,
+                opts,
+                ctl,
+                &mut stats,
+                |rows| vertical::fwd53_rows(rows, variant),
+                horizontal::fwd53_rows,
+            )?;
 
             let depth_eff = depth + u8::from(use_mct);
             let exps: Vec<u8> = bands
@@ -611,10 +595,7 @@ pub(crate) fn transform_samples_parallel_ctl(
                     max_planes,
                     weights,
                 },
-                TransformStats {
-                    stage_times,
-                    worker_jobs,
-                },
+                stats,
             ))
         }
         Mode::Lossy { .. } => {
@@ -640,110 +621,91 @@ pub(crate) fn transform_samples_parallel_ctl(
                 Vec::new()
             };
             {
-                let src = &int_planes;
                 let out_f: Vec<SharedPlane<f32>> = fp.iter_mut().map(SharedPlane::new).collect();
                 let out_q: Vec<SharedPlane<i32>> = q13.iter_mut().map(SharedPlane::new).collect();
                 let asg = assign_columns(&plan, if use_mct { 1 } else { comps }, h, workers);
+                let _m = use_mct.then(|| counters::measure(Kernel::MctIct, mct_samples, mct_bytes));
                 // SAFETY: disjoint column chunks, one thread per job; the
                 // int planes are only read (shared borrows).
                 let counts = asg.run("mct", |j| unsafe {
-                    let (x0, cw) = (j.region.x0, j.region.w);
-                    let mut ybuf = vec![0f32; cw];
-                    let mut cbuf = vec![0f32; cw];
-                    let mut rbuf = vec![0f32; cw];
-                    for y in 0..j.region.h {
-                        if use_mct {
-                            let r = &src[0].row(y)[x0..x0 + cw];
-                            let g = &src[1].row(y)[x0..x0 + cw];
-                            let b = &src[2].row(y)[x0..x0 + cw];
-                            ict_forward_row(r, g, b, &mut ybuf, &mut cbuf, &mut rbuf, shift as f32);
-                            for (c, buf) in [&ybuf, &cbuf, &rbuf].into_iter().enumerate() {
-                                if fixed {
-                                    let mut rows = out_q[c].rows(j.region);
-                                    for (d, &v) in rows.row_mut(y).iter_mut().zip(buf) {
-                                        *d = (v * 8192.0).round() as i32;
-                                    }
-                                } else {
-                                    out_f[c].rows(j.region).row_mut(y).copy_from_slice(buf);
+                    let (x0, cw, rh) = (j.region.x0, j.region.w, j.region.h);
+                    let src = |c: usize, y: usize| &int_planes[c].row(y)[x0..x0 + cw];
+                    let shift_f = shift as f32;
+                    if use_mct && fixed {
+                        // ICT into f32 staging rows, then round into Q13.
+                        let mut out = [0, 1, 2].map(|c| out_q[c].rows(j.region));
+                        let mut ybuf = vec![0f32; cw];
+                        let mut cbuf = vec![0f32; cw];
+                        let mut rbuf = vec![0f32; cw];
+                        for y in 0..rh {
+                            let (r, g, b) = (src(0, y), src(1, y), src(2, y));
+                            ict_forward_row(r, g, b, &mut ybuf, &mut cbuf, &mut rbuf, shift_f);
+                            for (rows, buf) in out.iter_mut().zip([&ybuf, &cbuf, &rbuf]) {
+                                for (d, &v) in rows.row_mut(y).iter_mut().zip(buf) {
+                                    *d = (v * 8192.0).round() as i32;
                                 }
                             }
-                        } else {
-                            let s = &src[j.comp].row(y)[x0..x0 + cw];
-                            if fixed {
-                                let mut rows = out_q[j.comp].rows(j.region);
-                                for (d, &v) in rows.row_mut(y).iter_mut().zip(s) {
-                                    *d = (((v - shift) as f32) * 8192.0).round() as i32;
-                                }
-                            } else {
-                                let mut rows = out_f[j.comp].rows(j.region);
-                                for (d, &v) in rows.row_mut(y).iter_mut().zip(s) {
-                                    *d = (v - shift) as f32;
-                                }
+                        }
+                    } else if use_mct {
+                        // ICT straight into the f32 planes.
+                        let [mut oy, mut ocb, mut ocr] = [0, 1, 2].map(|c| out_f[c].rows(j.region));
+                        for y in 0..rh {
+                            let (r, g, b) = (src(0, y), src(1, y), src(2, y));
+                            let (dy, dcb, dcr) = (oy.row_mut(y), ocb.row_mut(y), ocr.row_mut(y));
+                            ict_forward_row(r, g, b, dy, dcb, dcr, shift_f);
+                        }
+                    } else if fixed {
+                        let mut rows = out_q[j.comp].rows(j.region);
+                        for y in 0..rh {
+                            for (d, &v) in rows.row_mut(y).iter_mut().zip(src(j.comp, y)) {
+                                *d = (((v - shift) as f32) * 8192.0).round() as i32;
+                            }
+                        }
+                    } else {
+                        let mut rows = out_f[j.comp].rows(j.region);
+                        for y in 0..rh {
+                            for (d, &v) in rows.row_mut(y).iter_mut().zip(src(j.comp, y)) {
+                                *d = (v - shift) as f32;
                             }
                         }
                     }
                 });
-                accumulate(&mut worker_jobs, &counts);
+                accumulate(&mut stats.worker_jobs, &counts);
             }
             drop(mct_span);
-            stage_times.push(StageTime::new("mct", t1.elapsed().as_secs_f64()));
+            stats.push("mct", t1);
             if let Some(c) = ctl {
                 c.check()?;
             }
 
-            // 9/7 DWT level by level, vertical chunks then horizontal bands.
-            let dwt_span = trace::span("stage:dwt").cat("stage");
-            let t2 = Instant::now();
-            {
-                let shared_f: Vec<SharedPlane<f32>> = fp.iter_mut().map(SharedPlane::new).collect();
-                let shared_q: Vec<SharedPlane<i32>> =
-                    q13.iter_mut().map(SharedPlane::new).collect();
-                for (li, r) in regions.iter().enumerate() {
-                    if let Some(c) = ctl {
-                        c.check()?;
-                    }
-                    // Failpoint `dwt.level`: fires once per decomposition
-                    // level, on the calling thread — the clean-error lever
-                    // for the service's failure (not crash) paths.
-                    if let Some(msg) = faultsim::eval("dwt.level") {
-                        return Err(CodecError::Injected(msg));
-                    }
-                    let _lvl = if trace::enabled() {
-                        trace::span(format!("dwt-level-{}", li + 1)).cat("stage")
-                    } else {
-                        trace::Span::disabled()
-                    };
-                    let lplan = plan_for(r.w, workers, opts)?;
-                    let vert = assign_columns(&lplan, comps, r.h, workers);
-                    // SAFETY: disjoint column chunks, one thread per job.
-                    let counts = vert.run("dwt", |j| unsafe {
-                        if fixed {
-                            vertical::fwd97_rows(shared_q[j.comp].rows(j.region), variant);
-                        } else {
-                            vertical::fwd97_rows(shared_f[j.comp].rows(j.region), variant);
-                        }
-                    });
-                    accumulate(&mut worker_jobs, &counts);
-                    let horiz = assign_rows(r.w, r.h, comps, workers);
-                    // SAFETY: disjoint row bands, one thread per job.
-                    let counts = horiz.run("dwt", |j| unsafe {
-                        if fixed {
-                            horizontal::fwd97_fixed_rows(shared_q[j.comp].rows(j.region));
-                        } else {
-                            horizontal::fwd97_rows(shared_f[j.comp].rows(j.region));
-                        }
-                    });
-                    accumulate(&mut worker_jobs, &counts);
-                }
+            if fixed {
+                dwt_levels(
+                    &mut q13,
+                    &regions,
+                    workers,
+                    opts,
+                    ctl,
+                    &mut stats,
+                    |rows| vertical::fwd97_rows(rows, variant),
+                    horizontal::fwd97_fixed_rows,
+                )?;
+            } else {
+                dwt_levels(
+                    &mut fp,
+                    &regions,
+                    workers,
+                    opts,
+                    ctl,
+                    &mut stats,
+                    |rows| vertical::fwd97_rows(rows, variant),
+                    horizontal::fwd97_rows,
+                )?;
             }
-            drop(dwt_span);
-            stage_times.push(StageTime::new("dwt", t2.elapsed().as_secs_f64()));
             if let Some(c) = ctl {
                 c.check()?;
             }
 
-            // Per-band signalled steps and weights (cheap, calling thread;
-            // same order and arithmetic as the sequential pipeline).
+            // Per-band signalled steps and weights (cheap, calling thread).
             let mut steps = Vec::with_capacity(bands.len());
             let mut weights = Vec::with_capacity(bands.len());
             let mut delta_sigs = Vec::with_capacity(bands.len());
@@ -760,12 +722,12 @@ pub(crate) fn transform_samples_parallel_ctl(
             }
 
             // Quantize by column chunk (elementwise over band rectangles;
-            // Q13 coefficients drop back to f32 exactly as sequentially).
+            // Q13 coefficients are read as value / 2^13).
             let q_span = trace::span("stage:quantize").cat("stage");
             let t3 = Instant::now();
             let q_samples = (w * h * comps) as u64;
-            let qm = obs::counters::measure(
-                obs::counters::Kernel::Quantize,
+            let qm = counters::measure(
+                Kernel::Quantize,
                 q_samples,
                 q_samples * std::mem::size_of::<i32>() as u64,
             );
@@ -803,11 +765,11 @@ pub(crate) fn transform_samples_parallel_ctl(
                         }
                     }
                 });
-                accumulate(&mut worker_jobs, &counts);
+                accumulate(&mut stats.worker_jobs, &counts);
             }
             drop(qm);
             drop(q_span);
-            stage_times.push(StageTime::new("quantize", t3.elapsed().as_secs_f64()));
+            stats.push("quantize", t3);
 
             let max_planes: Vec<u8> = steps.iter().map(|s| GUARD_BITS + s.exponent - 1).collect();
             Ok((
@@ -818,13 +780,62 @@ pub(crate) fn transform_samples_parallel_ctl(
                     max_planes,
                     weights,
                 },
-                TransformStats {
-                    stage_times,
-                    worker_jobs,
-                },
+                stats,
             ))
         }
     }
+}
+
+/// The forward DWT of `planes`, level by level over `regions`: vertical
+/// lifting (`vert`) by column chunk, then, after the barrier, horizontal
+/// lifting (`horiz`) by row band. Before each level, on the calling
+/// thread, `ctl` is polled and the `dwt.level` failpoint fires — the
+/// clean-error lever for the service's failure (not crash) paths.
+#[allow(clippy::too_many_arguments)]
+fn dwt_levels<T, V, H>(
+    planes: &mut [AlignedPlane<T>],
+    regions: &[Region],
+    workers: usize,
+    opts: &ParallelOptions,
+    ctl: Option<&EncodeControl>,
+    stats: &mut TransformStats,
+    vert: V,
+    horiz: H,
+) -> Result<(), CodecError>
+where
+    T: Copy + Default + Send,
+    V: Fn(Rows<'_, T>) + Sync,
+    H: Fn(Rows<'_, T>) + Sync,
+{
+    let dwt_span = trace::span("stage:dwt").cat("stage");
+    let t0 = Instant::now();
+    let comps = planes.len();
+    let shared: Vec<SharedPlane<T>> = planes.iter_mut().map(SharedPlane::new).collect();
+    for (li, r) in regions.iter().enumerate() {
+        if let Some(c) = ctl {
+            c.check()?;
+        }
+        if let Some(msg) = faultsim::eval("dwt.level") {
+            return Err(CodecError::Injected(msg));
+        }
+        let _lvl = if trace::enabled() {
+            trace::span(format!("dwt-level-{}", li + 1)).cat("stage")
+        } else {
+            trace::Span::disabled()
+        };
+        let lplan = plan_for(r.w, workers, opts)?;
+        // SAFETY (both stages): the jobs of one stage cover pairwise
+        // disjoint column chunks (resp. row bands), one thread per job.
+        let counts = assign_columns(&lplan, comps, r.h, workers)
+            .run("dwt", |j| vert(unsafe { shared[j.comp].rows(j.region) }));
+        accumulate(&mut stats.worker_jobs, &counts);
+        let counts = assign_rows(r.w, r.h, comps, workers)
+            .run("dwt", |j| horiz(unsafe { shared[j.comp].rows(j.region) }));
+        accumulate(&mut stats.worker_jobs, &counts);
+    }
+    drop(dwt_span);
+    stats.push("dwt", t0);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -833,7 +844,7 @@ mod tests {
     use imgio::synth;
 
     #[test]
-    fn parallel_matches_sequential_lossless() {
+    fn parallel_matches_one_worker_lossless() {
         let im = synth::natural_rgb(96, 64, 13);
         let params = EncoderParams {
             levels: 3,
@@ -847,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_lossy() {
+    fn parallel_matches_one_worker_lossy() {
         let im = synth::natural(80, 80, 21);
         let params = EncoderParams::lossy(0.2);
         let seq = crate::encode(&im, &params).unwrap();
@@ -856,7 +867,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_lossy_fixed() {
+    fn parallel_matches_one_worker_lossy_fixed() {
         let im = synth::natural_rgb(72, 56, 5);
         let params = EncoderParams {
             arithmetic: Arithmetic::FixedQ13,
@@ -1009,7 +1020,7 @@ mod tests {
 
         // One worker: same bytes, and every stage, chunk and Tier-1 span
         // ran on the calling thread.
-        assert_eq!(par1, seq, "workers=1 must match the sequential encoder");
+        assert_eq!(par1, seq, "workers=1 must match the untraced encode");
         let on_path: Vec<&trace::Event> = events1
             .iter()
             .filter(|e| e.cat == "stage" || e.cat == "chunk" || e.name == "tier1")

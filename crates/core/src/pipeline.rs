@@ -1,17 +1,20 @@
-//! The sequential reference pipeline: encode and decode.
+//! Encode entry points and the stages every encode shares — Tier-1 block
+//! records, rate control, Tier-2 assembly, the measured profile — plus the
+//! decoder.
 //!
-//! This is the ground truth that the host-parallel and Cell-simulated
-//! drivers must match byte-for-byte. Stage order follows the paper's
-//! Figure 2.
+//! [`encode`] is the chunked driver of [`crate::parallel`] at one worker,
+//! so the service, the CLI, the Cell model and the benches all run one
+//! encoder. Stage order follows the paper's Figure 2.
 
 use crate::codestream::{self, BlockStream, MainHeader, Quant};
+use crate::parallel::ParallelOptions;
 use crate::profile::{BlockWork, LevelWork, StageTime, WorkloadProfile};
-use crate::quant::{band_delta, dequantize, StepSize, GUARD_BITS};
+use crate::quant::{dequantize, GUARD_BITS};
 use crate::{mct, Arithmetic, CodecError, EncoderParams, Mode};
 use ebcot::block::{BandKind, EncodedBlock};
 use ebcot::rate::{search_threshold, BlockSummary, PreparedBlock, Threshold};
 use imgio::Image;
-use wavelet::{low_len, norms, Band, Subband};
+use wavelet::{low_len, Band, Subband};
 use xpart::AlignedPlane;
 
 /// Map subband orientation to Tier-1 context class.
@@ -88,7 +91,7 @@ impl BlockRecord {
     }
 }
 
-/// Everything shared between the sample stages and entropy stages.
+/// What the sample stages hand to the entropy stages.
 pub(crate) struct Transformed {
     /// Coefficient planes as quantizer indices (one per component).
     pub indices: Vec<AlignedPlane<i32>>,
@@ -100,135 +103,6 @@ pub(crate) struct Transformed {
     pub max_planes: Vec<u8>,
     /// Per-band distortion weight ((delta * norm)^2).
     pub weights: Vec<f64>,
-}
-
-/// Run level shift + MCT + DWT + quantization, producing quantizer-index
-/// planes and the quantization signalling. Shared by every driver.
-pub(crate) fn transform_samples(
-    image: &Image,
-    params: &EncoderParams,
-) -> Result<Transformed, CodecError> {
-    let (w, h) = (image.width, image.height);
-    let comps = image.comps();
-    let depth = image.bit_depth;
-    let shift = 1i32 << (depth - 1);
-    let use_mct = comps == 3;
-    let bands = wavelet::subbands(w, h, params.levels);
-
-    let mut int_planes: Vec<AlignedPlane<i32>> = image
-        .planes
-        .iter()
-        .map(|p| {
-            let dense: Vec<i32> = p.iter().map(|&v| v as i32).collect();
-            AlignedPlane::from_dense(w, h, &dense).map_err(|e| CodecError::Image(e.to_string()))
-        })
-        .collect::<Result<_, _>>()?;
-
-    match params.mode {
-        Mode::Lossless => {
-            if use_mct {
-                mct::forward_rct_shift(&mut int_planes, shift);
-            } else {
-                for p in &mut int_planes {
-                    mct::level_shift(p, shift);
-                }
-            }
-            for p in &mut int_planes {
-                wavelet::forward_2d_53(p, params.levels, params.variant);
-            }
-            let depth_eff = depth + u8::from(use_mct);
-            let exps: Vec<u8> = bands
-                .iter()
-                .map(|b| depth_eff + b.band.gain_log2())
-                .collect();
-            let max_planes: Vec<u8> = exps.iter().map(|&e| GUARD_BITS + e - 1).collect();
-            let weights: Vec<f64> = bands
-                .iter()
-                .map(|b| {
-                    let n = norms::l2_norm_53(b.band, b.level.max(1));
-                    n * n
-                })
-                .collect();
-            Ok(Transformed {
-                indices: int_planes,
-                quant: Quant::Reversible(exps),
-                bands,
-                max_planes,
-                weights,
-            })
-        }
-        Mode::Lossy { .. } => {
-            let base = default_base_step(depth);
-            let mut fp: Vec<AlignedPlane<f32>> = if use_mct {
-                mct::forward_ict_shift(&int_planes, shift as f32)
-            } else {
-                int_planes
-                    .iter_mut()
-                    .map(|p| {
-                        mct::level_shift(p, shift);
-                        p.to_f32()
-                    })
-                    .collect()
-            };
-            // Sample transform in the selected arithmetic.
-            let coeff_value: Vec<AlignedPlane<f32>> = match params.arithmetic {
-                Arithmetic::Float32 => {
-                    for p in &mut fp {
-                        wavelet::forward_2d_97(p, params.levels, params.variant);
-                    }
-                    fp
-                }
-                Arithmetic::FixedQ13 => {
-                    let mut q13: Vec<AlignedPlane<i32>> = fp
-                        .iter()
-                        .map(|p| p.map(|v| (v * 8192.0).round() as i32))
-                        .collect();
-                    for p in &mut q13 {
-                        wavelet::transform2d::forward_2d_97_fixed(p, params.levels, params.variant);
-                    }
-                    q13.iter().map(|p| p.map(|v| v as f32 / 8192.0)).collect()
-                }
-            };
-            // Quantize per band.
-            let q_samples = (w * h * comps) as u64;
-            let qm = obs::counters::measure(
-                obs::counters::Kernel::Quantize,
-                q_samples,
-                q_samples * std::mem::size_of::<i32>() as u64,
-            );
-            let mut steps = Vec::with_capacity(bands.len());
-            let mut weights = Vec::with_capacity(bands.len());
-            let mut indices: Vec<AlignedPlane<i32>> = (0..comps)
-                .map(|_| AlignedPlane::new(w, h).expect("geometry"))
-                .collect();
-            for b in &bands {
-                let lev = b.level.max(1);
-                let delta = band_delta(base, b.band, lev);
-                let r_bits = depth as i32 + b.band.gain_log2() as i32;
-                let step = StepSize::from_delta(delta, r_bits);
-                let delta_sig = step.delta(r_bits); // signalled value
-                let nrm = norms::l2_norm_97(b.band, lev);
-                steps.push(step);
-                weights.push((delta_sig * nrm) * (delta_sig * nrm));
-                for (c, plane) in coeff_value.iter().enumerate() {
-                    for y in b.y0..b.y0 + b.h {
-                        let src = &plane.row(y)[b.x0..b.x0 + b.w];
-                        let dst = &mut indices[c].row_mut(y)[b.x0..b.x0 + b.w];
-                        crate::kernels::quantize_row(src, dst, delta_sig);
-                    }
-                }
-            }
-            drop(qm);
-            let max_planes: Vec<u8> = steps.iter().map(|s| GUARD_BITS + s.exponent - 1).collect();
-            Ok(Transformed {
-                indices,
-                quant: Quant::Scalar(steps),
-                bands,
-                max_planes,
-                weights,
-            })
-        }
-    }
 }
 
 /// Extract the block grid of one band: `(bx, by, x0, y0, bw, bh)` tuples.
@@ -265,33 +139,6 @@ pub(crate) fn gather_block(
         data.extend_from_slice(&plane.row(y)[x0..x0 + bw]);
     }
     data
-}
-
-/// Tier-1 encode every code block of every band/component (sequentially).
-pub(crate) fn tier1_all(t: &Transformed, params: &EncoderParams) -> Vec<BlockRecord> {
-    let mut out = Vec::new();
-    for (c, plane) in t.indices.iter().enumerate() {
-        for (bi, b) in t.bands.iter().enumerate() {
-            for (bx, by, x0, y0, bw, bh) in block_grid(b, params.cb_size) {
-                let data = gather_block(plane, x0, y0, bw, bh);
-                let enc = params.coder.block_coder().encode(
-                    &data,
-                    bw,
-                    bh,
-                    band_kind(b.band),
-                    params.bypass,
-                );
-                assert!(
-                    enc.num_planes <= t.max_planes[bi],
-                    "band {bi}: {} planes exceed M_b {}",
-                    enc.num_planes,
-                    t.max_planes[bi]
-                );
-                out.push(BlockRecord::new(c, bi, bx, by, enc, t.weights[bi]));
-            }
-        }
-    }
-    out
 }
 
 /// What one quality layer keeps: either everything (lossless final
@@ -383,7 +230,7 @@ pub(crate) fn allocate_layers(
 /// Map `f` over `items` with `workers` threads on disjoint contiguous
 /// ranges, preserving order. `f` returning `None` (an injected fault)
 /// makes the whole map `None`. Runs inline without spawning when one
-/// worker (or one item) suffices, so the sequential driver never pays for
+/// worker (or one item) suffices, so a one-worker encode never pays for
 /// threads it didn't ask for.
 pub(crate) fn fan_out_map<T, U, F>(
     items: &[T],
@@ -480,62 +327,29 @@ pub(crate) fn assemble(
     codestream::write_workers(&header, &streams, workers).map_err(CodecError::Injected)
 }
 
-/// Encode `image` with `params`, returning the codestream.
+/// Encode `image` with `params`, returning the codestream: the chunked
+/// driver at one worker, running every stage on the calling thread.
 pub fn encode(image: &Image, params: &EncoderParams) -> Result<Vec<u8>, CodecError> {
-    encode_with_profile(image, params).map(|(bytes, _)| bytes)
+    crate::parallel::encode_parallel(image, params, 1)
 }
 
 /// Dense quantizer-index planes produced by the sample stages (level
-/// shift, MCT, DWT, quantization), one per component, in the sequential
-/// reference arithmetic. Diagnostic API for the differential tests: the
-/// chunked host-parallel transform must reproduce these coefficient for
-/// coefficient (see `parallel::transform_coefficients_parallel`).
+/// shift, MCT, DWT, quantization), one per component: the chunked sample
+/// stages at one worker. Diagnostic API for tests and benches.
 pub fn transform_coefficients(
     image: &Image,
     params: &EncoderParams,
 ) -> Result<Vec<Vec<i32>>, CodecError> {
-    params.validate()?;
-    image
-        .validate()
-        .map_err(|e| CodecError::Image(e.to_string()))?;
-    let t = transform_samples(image, params)?;
-    Ok(t.indices.iter().map(|p| p.to_dense()).collect())
+    crate::parallel::transform_coefficients_parallel(image, params, 1, &ParallelOptions::default())
 }
 
 /// Encode and also return the measured [`WorkloadProfile`] that drives the
-/// machine models.
+/// machine models: the chunked driver at one worker.
 pub fn encode_with_profile(
     image: &Image,
     params: &EncoderParams,
 ) -> Result<(Vec<u8>, WorkloadProfile), CodecError> {
-    params.validate()?;
-    image
-        .validate()
-        .map_err(|e| CodecError::Image(e.to_string()))?;
-    let tr_span = obs::trace::span("stage:transform").cat("stage");
-    let t0 = std::time::Instant::now();
-    let t = transform_samples(image, params)?;
-    let transform_secs = t0.elapsed().as_secs_f64();
-    drop(tr_span);
-    let t1_span = obs::trace::span("stage:tier1")
-        .cat("stage")
-        .arg("coder", params.coder.id());
-    let t1 = std::time::Instant::now();
-    let records = tier1_all(&t, params);
-    let tier1_secs = t1.elapsed().as_secs_f64();
-    drop(t1_span);
-    let rc_span = obs::trace::span("stage:rate-control").cat("stage");
-    let raw = image.raw_bytes() as u64;
-    let out = rate_control_and_assemble(image, params, &t, &records, raw, 1)?;
-    drop(rc_span);
-    let stage_times = vec![
-        StageTime::new("transform", transform_secs),
-        StageTime::new("tier1", tier1_secs),
-        StageTime::new("rate-control", out.alloc_secs),
-        StageTime::new("tier2", out.tier2_secs),
-    ];
-    let profile = build_profile(image, params, &records, &out, stage_times, Vec::new());
-    Ok((out.bytes, profile))
+    crate::parallel::encode_parallel_with_profile(image, params, 1)
 }
 
 /// Everything the rate-control/Tier-2 tail produced, including the
@@ -563,8 +377,7 @@ pub(crate) struct RateOutcome {
 }
 
 /// PCRD rate allocation plus codestream assembly, including the lossy
-/// budget-shrink retry loop. Shared by the sequential and parallel drivers
-/// so they stay byte-identical by construction; `workers` fans out the
+/// budget-shrink retry loop; `workers` fans out the
 /// per-block truncation application and the per-precinct Tier-2 assembly
 /// without changing a byte (disjoint partitions + ordered merge).
 pub(crate) fn rate_control_and_assemble(
@@ -1246,6 +1059,26 @@ mod tests {
         assert!(!prof.blocks.is_empty());
         let (_, lossy_prof) = encode_with_profile(&im, &EncoderParams::lossy(0.2)).unwrap();
         assert!(lossy_prof.rate_control_items > 0);
+        // One worker: the chunked driver's stages in pipeline order (the
+        // serve histograms and bench bins read these names), and one job
+        // counter for the worker plus one for the calling thread.
+        let names = |p: &WorkloadProfile| -> Vec<String> {
+            p.stage_times.iter().map(|s| s.name.to_string()).collect()
+        };
+        let lossless = ["convert", "mct", "dwt", "tier1", "rate-control", "tier2"];
+        let lossy = [
+            "convert",
+            "mct",
+            "dwt",
+            "quantize",
+            "tier1",
+            "rate-control",
+            "tier2",
+        ];
+        assert_eq!(names(&prof), lossless);
+        assert_eq!(names(&lossy_prof), lossy);
+        assert_eq!(prof.worker_jobs.len(), 2);
+        assert_eq!(lossy_prof.worker_jobs.len(), 2);
     }
 
     #[test]
@@ -1270,6 +1103,15 @@ mod tests {
         }
     }
 
+    /// The sample stages and Tier-1 of a one-worker encode, for driving
+    /// the rate-control tail directly.
+    fn tier1_records(im: &Image, params: &EncoderParams) -> (Transformed, Vec<BlockRecord>) {
+        let opts = ParallelOptions::default();
+        let (t, _) = crate::parallel::sample_stages(im, params, 1, &opts, None).unwrap();
+        let (records, _) = crate::parallel::tier1_blocks(&t, params, 1, None).unwrap();
+        (t, records)
+    }
+
     #[test]
     fn budget_shrink_retries_multiple_times_and_converges() {
         // Probed configuration: the first reserve bump is insufficient, so
@@ -1281,8 +1123,7 @@ mod tests {
             cb_size: 32,
             ..EncoderParams::lossy(0.08)
         };
-        let t = transform_samples(&im, &params).unwrap();
-        let records = tier1_all(&t, &params);
+        let (t, records) = tier1_records(&im, &params);
         let raw = im.raw_bytes() as u64;
         let out = rate_control_and_assemble(&im, &params, &t, &records, raw, 1).unwrap();
         assert!(out.retries >= 2, "wanted >=2 retries, got {}", out.retries);
@@ -1310,8 +1151,7 @@ mod tests {
         // still hand back a decodable stream.
         let im = synth::noise(8, 8, 5);
         let params = EncoderParams::lossy(0.02);
-        let t = transform_samples(&im, &params).unwrap();
-        let records = tier1_all(&t, &params);
+        let (t, records) = tier1_records(&im, &params);
         let raw = im.raw_bytes() as u64;
         let out = rate_control_and_assemble(&im, &params, &t, &records, raw, 1).unwrap();
         assert_eq!(out.retries, 8);

@@ -45,7 +45,7 @@
 //! honors `retry_after_ms`.
 //!
 //! Invariant inherited from the codec: every codestream the service
-//! returns is **byte-identical** to sequential [`j2k_core::encode`] for
+//! returns is **byte-identical** to the one-worker [`j2k_core::encode`] for
 //! the same input — scheduling decisions never touch the output.
 
 pub mod breaker;

@@ -363,7 +363,7 @@ mod tests {
         // set appears even though only the MQ coder ran.
         assert!(text.contains("j2k_tier1_symbols_per_sec_ht_count 0"));
         assert!(text.contains("j2k_tier1_symbols_per_sec_mq_count"));
-        assert!(text.contains("j2k_stage_transform_us_count 0"));
+        assert!(text.contains("j2k_stage_quantize_us_count 0"));
         // Per-kernel counters carry the kernel label for the full set.
         assert!(text.contains("j2k_kernel_samples_total{kernel=\"tier1_mq\"}"));
         assert!(text.contains("j2k_kernel_gb_per_sec{kernel=\"dwt53_vertical\"}"));

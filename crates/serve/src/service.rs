@@ -107,7 +107,7 @@ impl EncodeJob {
 #[derive(Debug)]
 pub enum JobOutcome {
     /// Encode finished; the codestream is byte-identical to the
-    /// sequential encoder's output for the same input and effective
+    /// one-worker [`j2k_core::encode`] output for the same input and effective
     /// params (the submitted params, or their degraded form when
     /// `degraded` is set).
     Completed {
@@ -614,8 +614,7 @@ pub struct EncodeService {
 /// zero-count histograms included. Recording lazily (as the workers do)
 /// would otherwise make the schema depend on which coder or pipeline
 /// happened to run first, breaking dashboards that join on series names.
-/// Stage names cover the parallel driver's stages plus the sequential
-/// pipeline's fused `transform` stage.
+/// Stage names cover every stage the encode driver reports.
 const DECLARED_HISTOGRAMS: &[&str] = &[
     "queue_wait_us",
     "job_e2e_us",
@@ -623,7 +622,6 @@ const DECLARED_HISTOGRAMS: &[&str] = &[
     "stage_mct_us",
     "stage_dwt_us",
     "stage_quantize_us",
-    "stage_transform_us",
     "stage_tier1_us",
     "stage_rate_control_us",
     "stage_tier2_us",

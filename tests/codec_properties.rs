@@ -6,12 +6,18 @@
 //! an image the comparator cannot hold against the original.
 
 use jpeg2000_cell::codec::cell::SimOptions;
+use jpeg2000_cell::codec::kernels::quantize_row;
+use jpeg2000_cell::codec::mct::{forward_ict_shift, forward_rct_shift, level_shift};
 use jpeg2000_cell::codec::parallel::encode_parallel;
+use jpeg2000_cell::codec::pipeline::default_base_step;
+use jpeg2000_cell::codec::quant::{band_delta, StepSize};
 use jpeg2000_cell::codec::{
     decode, decode_layers, decode_prefix, encode, encode_on_cell, encode_with_profile,
-    transform_coefficients, transform_coefficients_parallel, Coder, EncoderParams, ParallelOptions,
+    transform_coefficients_parallel, Arithmetic, Coder, EncoderParams, Mode, ParallelOptions,
 };
-use jpeg2000_cell::decomposition::CACHE_LINE;
+use jpeg2000_cell::decomposition::{AlignedPlane, CACHE_LINE};
+use jpeg2000_cell::dwt::transform2d::forward_2d_97_fixed;
+use jpeg2000_cell::dwt::{forward_2d_53, forward_2d_97};
 use jpeg2000_cell::images::Image;
 use jpeg2000_cell::machine::MachineConfig;
 use jpeg2000_cell::quality;
@@ -41,6 +47,63 @@ fn image_strategy() -> impl Strategy<Value = Image> {
             }
             im
         })
+}
+
+/// Quantizer-index planes of `im` from the whole-plane sample stages —
+/// level shift + MCT, a full 2-D DWT per plane, per-band quantization —
+/// composed here from the plane-level building blocks, independently of
+/// the encoder's column-chunk and row-band decomposition.
+fn whole_plane_coefficients(im: &Image, params: &EncoderParams) -> Vec<Vec<i32>> {
+    let (w, h, depth) = (im.width, im.height, im.bit_depth);
+    let shift = 1i32 << (depth - 1);
+    let (levels, variant) = (params.levels, params.variant);
+    let mut planes: Vec<AlignedPlane<i32>> = im
+        .planes
+        .iter()
+        .map(|p| {
+            let dense: Vec<i32> = p.iter().map(|&v| i32::from(v)).collect();
+            AlignedPlane::from_dense(w, h, &dense).unwrap()
+        })
+        .collect();
+    if params.mode == Mode::Lossless {
+        if im.comps() == 3 {
+            forward_rct_shift(&mut planes, shift);
+        } else {
+            planes.iter_mut().for_each(|p| level_shift(p, shift));
+        }
+        for p in &mut planes {
+            forward_2d_53(p, levels, variant);
+        }
+        return planes.iter().map(|p| p.to_dense()).collect();
+    }
+    let mut coeffs: Vec<AlignedPlane<f32>> = if im.comps() == 3 {
+        forward_ict_shift(&planes, shift as f32)
+    } else {
+        planes.iter_mut().for_each(|p| level_shift(p, shift));
+        planes.iter().map(|p| p.to_f32()).collect()
+    };
+    for p in &mut coeffs {
+        if params.arithmetic == Arithmetic::FixedQ13 {
+            let mut q13 = p.map(|v| (v * 8192.0).round() as i32);
+            forward_2d_97_fixed(&mut q13, levels, variant);
+            *p = q13.map(|v| v as f32 / 8192.0);
+        } else {
+            forward_2d_97(p, levels, variant);
+        }
+    }
+    let base = default_base_step(depth);
+    let mut out = vec![vec![0i32; w * h]; coeffs.len()];
+    for b in jpeg2000_cell::dwt::subbands(w, h, levels) {
+        let r_bits = i32::from(depth) + i32::from(b.band.gain_log2());
+        let step = StepSize::from_delta(band_delta(base, b.band, b.level.max(1)), r_bits);
+        for (plane, dense) in coeffs.iter().zip(&mut out) {
+            for y in b.y0..b.y0 + b.h {
+                let dst = &mut dense[y * w + b.x0..y * w + b.x0 + b.w];
+                quantize_row(&plane.row(y)[b.x0..b.x0 + b.w], dst, step.delta(r_bits));
+            }
+        }
+    }
+    out
 }
 
 proptest! {
@@ -101,8 +164,8 @@ proptest! {
         lossy in any::<bool>(),
     ) {
         // The paper's invariant: parallelization never changes the
-        // codestream. Sequential, host-parallel (any worker count), and
-        // Cell-simulated encoders must agree byte for byte.
+        // codestream. The one-worker encode, any other worker count, and
+        // the Cell-simulated entry point must agree byte for byte.
         let params = if lossy {
             EncoderParams { levels: 2, ..EncoderParams::lossy(0.4) }
         } else {
@@ -127,20 +190,22 @@ proptest! {
         workers in 1usize..=8,
         chunk_lines in 1usize..5,
         lossy in any::<bool>(),
+        fixed in any::<bool>(),
     ) {
         // Coefficient-for-coefficient equality of the chunk-parallel sample
-        // stages against the sequential reference, over arbitrary widths —
+        // stages against the whole-plane reference, over arbitrary widths —
         // including widths that are not a multiple of the chunk width, so
         // the remainder chunk on the calling thread is exercised.
         let params = if lossy {
-            EncoderParams { levels, ..EncoderParams::lossy(0.3) }
+            let arithmetic = if fixed { Arithmetic::FixedQ13 } else { Arithmetic::Float32 };
+            EncoderParams { levels, arithmetic, ..EncoderParams::lossy(0.3) }
         } else {
             EncoderParams { levels, ..EncoderParams::lossless() }
         };
         let opts = ParallelOptions { chunk_width_bytes: Some(chunk_lines * CACHE_LINE) };
-        let seq = transform_coefficients(&im, &params).unwrap();
+        let reference = whole_plane_coefficients(&im, &params);
         let par = transform_coefficients_parallel(&im, &params, workers, &opts).unwrap();
-        prop_assert_eq!(par, seq);
+        prop_assert_eq!(par, reference);
     }
 
     #[test]
@@ -308,7 +373,7 @@ proptest! {
     ) {
         // The PCRD search, the budget-shrink retry loop, and Tier-2
         // packet assembly all run on the parallel tail here; the result
-        // must equal the sequential driver byte for byte at every worker
+        // must equal the one-worker encode byte for byte at every worker
         // count — even when the loop retries or gives up.
         let params = EncoderParams {
             levels: 2,
@@ -388,8 +453,8 @@ proptest! {
         lossy in any::<bool>(),
         layers in 1usize..4,
     ) {
-        // Ordered-merge determinism for the HT backend: sequential,
-        // parallel at several worker counts, and the cell-sim driver all
+        // Ordered-merge determinism for the HT backend: one worker,
+        // several other worker counts, and the cell-sim driver all
         // emit the same bytes, with and without rate control.
         let params = EncoderParams {
             levels: 2,

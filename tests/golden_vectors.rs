@@ -176,8 +176,9 @@ fn blessing() -> bool {
 }
 
 /// Byte-diff every corpus case against its fixture, through every
-/// encoder driver. With `GOLDEN_BLESS=1` the fixtures are rewritten from
-/// the sequential encoder instead (the drivers are still cross-checked).
+/// encoder entry point. With `GOLDEN_BLESS=1` the fixtures are rewritten
+/// from the one-worker encode instead (the worker counts and the cell-sim
+/// entry point are still cross-checked).
 #[test]
 fn corpus_is_byte_exact_across_drivers() {
     let mut blessed = 0;
@@ -282,7 +283,7 @@ fn fixtures_measured_quality_matches_recorded() {
             assert!(c.identical, "{}: lossless fixture not bit-exact", case.name);
         } else {
             // The same quality must be measured from every driver's
-            // output, not just the sequential bytes.
+            // output, not just the one-worker bytes.
             for workers in [2usize, 5] {
                 let par = encode_parallel(&im, &case.params, workers).expect(case.name);
                 let cp = quality::compare(&im, &decode(&par).expect(case.name)).expect(case.name);
